@@ -88,6 +88,11 @@ func serve(args []string) int {
 		s.Warm(cfg)
 	}
 
+	// Catch SIGTERM/SIGINT before the socket exists: a boot script may
+	// signal as soon as it reads the listening line, and that signal must
+	// drain the daemon, not kill it.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cardopcd:", err)
@@ -100,8 +105,6 @@ func serve(args []string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-errc:

@@ -118,7 +118,8 @@ func workerHandOff(n, workers int) {
 
 // loopHandOff acquires into a fresh local each iteration and hands the
 // value to the slice owner: the hand-off ends the local's obligation, so
-// the back-edge re-acquire is clean (the BatchAerialAll spectrum loop).
+// the back-edge re-acquire is clean (a loop that gathers one pooled
+// spectrum per mask).
 func loopHandOff(n, b int) []*Grid {
 	mfs := make([]*Grid, b)
 	for i := 0; i < b; i++ {

@@ -40,7 +40,7 @@ func DefaultDiffConfig() DiffConfig {
 
 // DiffOPC runs gradient-driven segment OPC: the L2 loss between the
 // sigmoid-resist print and the target is backpropagated through the imaging
-// model (adjoint, see litho.GradientFromCache), and each segment's offset
+// model (adjoint, see litho.GradientFromCacheInto), and each segment's offset
 // descends the loss gradient integrated along the segment. This mirrors
 // DiffOPC's edge-variable formulation without its CUDA machinery.
 func DiffOPC(sim *litho.Simulator, targets []geom.Polygon, cfg DiffConfig) *SegResult {

@@ -185,37 +185,6 @@ func TestGetHalfPoolRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWorkspaceBatchAccs(t *testing.T) {
-	ws := GetWorkspace(8, 8)
-	accs := ws.BatchAccs(3)
-	if len(accs) != 3 {
-		t.Fatalf("BatchAccs(3) returned %d accumulators", len(accs))
-	}
-	if &accs[0][0] != &ws.Acc[0] {
-		t.Error("accs[0] must alias ws.Acc")
-	}
-	for m, acc := range accs {
-		if len(acc) != len(ws.Acc) {
-			t.Fatalf("acc %d has len %d, want %d", m, len(acc), len(ws.Acc))
-		}
-		for i := range acc {
-			if acc[i] != 0 {
-				t.Fatalf("acc %d not zeroed at %d", m, i)
-			}
-		}
-		acc[0] = float64(m + 1) // dirty for the next round
-	}
-	ws.Release()
-	// Reacquired workspaces hand out zeroed accumulators again.
-	ws2 := GetWorkspace(8, 8)
-	defer ws2.Release()
-	for m, acc := range ws2.BatchAccs(3) {
-		if acc[0] != 0 {
-			t.Fatalf("pooled acc %d not re-zeroed", m)
-		}
-	}
-}
-
 func BenchmarkRealForward2_256(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	src := randReal(r, 256*256)

@@ -58,36 +58,12 @@ func PutGrid(g *Grid2) {
 
 // Workspace bundles the per-worker scratch of one litho kernel loop: a
 // complex grid for the frequency-domain convolution and a float
-// accumulator for the weighted intensity partial sum. Batched sweeps
-// (litho.BatchAerialInto) extend the workspace with one accumulator per
-// batch member via BatchAccs; the extra accumulators are retained
-// across pooling so the steady state stays allocation-free.
+// accumulator for the weighted intensity partial sum.
 type Workspace struct {
 	// Grid is w×h convolution scratch with unspecified contents.
 	Grid *Grid2
 	// Acc is a zeroed w·h accumulator.
 	Acc []float64
-	// accs are the batch accumulators handed out by BatchAccs;
-	// accs[0] aliases Acc so a batch of one shares the classic layout.
-	accs [][]float64
-}
-
-// BatchAccs returns b zeroed accumulators, each len(Acc) long, for one
-// batched kernel sweep. The first is Acc itself (already zeroed by
-// GetWorkspace); extras are grown on first use and retained while the
-// workspace sits in the pool, so steady-state batched sweeps draw them
-// allocation-free. The returned slices are only valid until Release.
-func (ws *Workspace) BatchAccs(b int) [][]float64 {
-	if len(ws.accs) == 0 {
-		ws.accs = append(ws.accs, ws.Acc)
-	}
-	for len(ws.accs) < b {
-		ws.accs = append(ws.accs, make([]float64, len(ws.Acc)))
-	}
-	for _, acc := range ws.accs[1:b] {
-		clear(acc)
-	}
-	return ws.accs[:b]
 }
 
 // GetWorkspace returns a pooled workspace for a w×h grid: Grid holds

@@ -50,81 +50,35 @@ func (c *ForwardCache) Release() {
 	}
 }
 
-// AerialWithCache computes the aerial image like Aerial but retains the
-// coherent amplitudes for a subsequent GradientFromCache call. The dose
-// scaling is applied to the intensity exactly as in Aerial.
-func (s *Simulator) AerialWithCache(mask *raster.Field) (*raster.Field, *ForwardCache) {
-	cache := s.NewForwardCache()
-	out := s.AerialWithCacheInto(raster.NewField(s.grid), cache, mask)
-	return out, cache // pool-returning: the caller must cache.Release when done
-}
-
-// AerialWithCacheInto is AerialWithCache writing the aerial image into
-// out (fully overwritten) and the coherent amplitudes into cache,
-// reusing the cache's grids when it has been filled before — the
-// steady-state path of the ILT descent loop.
+// AerialWithCacheInto computes the aerial image of mask into out (fully
+// overwritten) like AerialInto, and retains the coherent amplitudes in
+// cache for a subsequent GradientFromCacheInto call, reusing the cache's
+// grids when it has been filled before — the steady-state path of the
+// ILT descent loop.
 //
 //cardopc:noalloc
 func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, mask *raster.Field) *raster.Field {
 	defer obs.Start("litho.aerial_cached").End()
-	obs.C("litho.aerial.count").Inc()
 	n := s.cfg.GridSize
 	if cache.sim != s {
 		panic("litho: ForwardCache used with a different simulator")
 	}
-	if out.Size != n || mask.Size != n {
-		panic(fmt.Sprintf("litho: aerial out %d px / mask %d px for a %d px imager", out.Size, mask.Size, n))
+	if mask.Size != n {
+		panic(fmt.Sprintf("litho: %d px mask for a %d px imager", mask.Size, n))
 	}
 	mf := fft.GetGrid(n, n)
 	MaskFreqInto(mf, mask)
 	cache.ensure(n)
-	clear(out.Data)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(s.kernels) {
-		workers = len(s.kernels)
-	}
-	wss := make([]*fft.Workspace, workers) //cardopc:allow noalloc GOMAXPROCS-bounded fan-out slice, inside the litho allocs/op budget
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { //cardopc:allow noalloc one worker closure per fan-out, inside the litho allocs/op budget
-			defer wg.Done()
-			ws := fft.GetWorkspace(n, n)
-			for ki := w; ki < len(s.kernels); ki += workers {
-				ksp := obs.StartOn(obs.TrackLithoWorker+w, "litho.kernel")
-				amp := cache.amps[ki]
-				fft.ConvolveInto(amp, mf, s.kernels[ki]) // workers only read mf; wg.Wait fences the PutGrid below
-				wk := s.weights[ki]
-				for i, v := range amp.Data {
-					re, im := real(v), imag(v)
-					ws.Acc[i] += wk * (re*re + im*im)
-				}
-				ksp.End()
-			}
-			wss[w] = ws
-		}(w)
-	}
-	wg.Wait()
+	s.sweep(out, mf, cache.amps)
 	fft.PutGrid(mf)
-	for _, ws := range wss {
-		for i, v := range ws.Acc {
-			out.Data[i] += v
-		}
-		ws.Release()
-	}
-
-	if s.cfg.Dose != 1 {
-		for i := range out.Data {
-			out.Data[i] *= s.cfg.Dose
-		}
-	}
+	scaleDose(out.Data, s.cfg.Dose)
 	return out
 }
 
-// GradientFromCache computes ∂L/∂M given G = ∂L/∂I (the loss gradient with
-// respect to the aerial image, dose included by the caller — the chain rule
-// through the dose factor is handled here). For
+// GradientFromCacheInto computes ∂L/∂M into grad (fully overwritten)
+// given G = ∂L/∂I (the loss gradient with respect to the aerial image,
+// dose included by the caller — the chain rule through the dose factor
+// is handled here). For
 //
 //	I = Dose · Σ_k w_k |M ⊗ h_k|²   (mask M real)
 //
@@ -133,16 +87,9 @@ func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, 
 //	∂L/∂M = Dose · Σ_k 2 w_k · Re[ corr(G ⊙ A_k, h_k) ] ,
 //
 // where corr is cross-correlation, evaluated in the frequency domain as
-// IFFT( FFT(G ⊙ A_k) ⊙ conj(H_k) ).
-func (s *Simulator) GradientFromCache(cache *ForwardCache, G []float64) []float64 {
-	n := s.cfg.GridSize
-	return s.GradientFromCacheInto(make([]float64, n*n), cache, G)
-}
-
-// GradientFromCacheInto is GradientFromCache accumulating into grad
-// (fully overwritten), drawing worker scratch from the fft workspace
-// pool. The reduction runs in worker order, so results are bit-identical
-// across runs.
+// IFFT( FFT(G ⊙ A_k) ⊙ conj(H_k) ). Worker scratch comes from the fft
+// workspace pool and the reduction runs in worker order, so results are
+// bit-identical across runs.
 //
 //cardopc:noalloc
 func (s *Simulator) GradientFromCacheInto(grad []float64, cache *ForwardCache, G []float64) []float64 {

@@ -15,7 +15,9 @@ func TestAerialWithCacheMatchesAerial(t *testing.T) {
 	s := NewSimulator(cfg)
 	mask := maskWithRect(s.Grid(), geom.Rect{Min: geom.P(900, 900), Max: geom.P(1150, 1150)})
 	a := s.Aerial(mask)
-	b, cache := s.AerialWithCache(mask)
+	cache := s.NewForwardCache()
+	defer cache.Release()
+	b := s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
 	for i := range a.Data {
 		if math.Abs(a.Data[i]-b.Data[i]) > 1e-12 {
 			t.Fatalf("aerial mismatch at %d", i)
@@ -59,8 +61,10 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 		return l
 	}
 
-	_, cache := s.AerialWithCache(mask)
-	grad := s.GradientFromCache(cache, G)
+	cache := s.NewForwardCache()
+	defer cache.Release()
+	s.AerialWithCacheInto(raster.NewField(g), cache, mask)
+	grad := s.GradientFromCacheInto(make([]float64, len(G)), cache, G)
 
 	h := 1e-4
 	checks := [][2]int{{30, 30}, {33, 31}, {28, 35}, {20, 20}, {36, 32}}
@@ -97,10 +101,13 @@ func TestGradientIncludesDose(t *testing.T) {
 	for i := range G {
 		G[i] = 1
 	}
-	_, c1 := s1.AerialWithCache(mask)
-	_, c2 := s2.AerialWithCache(mask)
-	g1 := s1.GradientFromCache(c1, G)
-	g2 := s2.GradientFromCache(c2, G)
+	gradient := func(s *Simulator) []float64 {
+		cache := s.NewForwardCache()
+		defer cache.Release()
+		s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
+		return s.GradientFromCacheInto(make([]float64, len(G)), cache, G)
+	}
+	g1, g2 := gradient(s1), gradient(s2)
 	idx := 30*64 + 30
 	if math.Abs(g2[idx]-2*g1[idx]) > 1e-9*math.Abs(g1[idx]) {
 		t.Errorf("dose chain rule: %v vs 2×%v", g2[idx], g1[idx])

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cardopc/internal/fft"
 	"cardopc/internal/geom"
 	"cardopc/internal/raster"
 )
@@ -161,7 +162,7 @@ func TestAerialFromFreqMatchesAerial(t *testing.T) {
 	s := NewSimulator(testConfig())
 	mask := maskWithRect(s.Grid(), geom.Rect{Min: geom.P(900, 900), Max: geom.P(1100, 1100)})
 	a := s.Aerial(mask)
-	b := s.AerialFromFreq(MaskFreq(mask))
+	b := s.AerialFromFreq(MaskFreqInto(fft.NewGrid2(mask.Size, mask.Size), mask))
 	for i := range a.Data {
 		if math.Abs(a.Data[i]-b.Data[i]) > 1e-12 {
 			t.Fatalf("mismatch at %d", i)
@@ -225,8 +226,9 @@ func BenchmarkAerial256(b *testing.B) {
 func BenchmarkGradient256(b *testing.B) {
 	s := NewSimulator(testConfig())
 	mask := maskWithRect(s.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
-	aerial, cache := s.AerialWithCache(mask)
+	cache := s.NewForwardCache()
 	defer cache.Release()
+	aerial := s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
 	// A quadratic-loss gradient against a mid-intensity target keeps G
 	// deterministic and representative of the optimizer's input.
 	G := make([]float64, len(aerial.Data))
@@ -238,5 +240,21 @@ func BenchmarkGradient256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.GradientFromCacheInto(grad, cache, G)
+	}
+}
+
+// BenchmarkMaskFreqReal measures the real-input mask transform — the
+// front of every imaging call, retargeted from the full complex FFT at
+// the half-spectrum path. Part of the tracked set gated by cmd/benchdiff.
+func BenchmarkMaskFreqReal(b *testing.B) {
+	cfg := DefaultConfig()
+	g := raster.Grid{Size: cfg.GridSize, Pitch: cfg.PitchNM}
+	mask := maskWithRect(g, geom.Rect{Min: geom.P(874, 874), Max: geom.P(1474, 1474)})
+	mf := fft.GetGrid(mask.Size, mask.Size)
+	defer fft.PutGrid(mf)
+	MaskFreqInto(mf, mask)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MaskFreqInto(mf, mask)
 	}
 }

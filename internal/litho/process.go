@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"cardopc/internal/fft"
+	"cardopc/internal/obs"
 	"cardopc/internal/raster"
 )
 
@@ -101,44 +102,43 @@ func (p *Process) AerialAll(mask *raster.Field) (nom, inner, outer *raster.Field
 	return nom, inner, outer
 }
 
-// AerialAllFromFreq is AerialAll over a precomputed mask spectrum.
-// Corners that share a kernel set (dose-only excursions) are imaged by
-// one batched kernel sweep — the spectrum pointer repeats across the
-// batch, so the shared corners ride the convolutions the first member
-// already paid for. Distinct kernel sets (a defocused inner corner) run
-// concurrently. Each corner's result is bit-identical to its sequential
-// AerialFromFreq call.
+// AerialAllFromFreq is AerialAll over a precomputed mask spectrum. The
+// nominal kernel set is swept once: dose multiplies only after the sweep
+// (Eq. 1), so every corner sharing that set — the dose-only outer corner,
+// and the inner corner when it applies no defocus — is the sum times its
+// own dose. A corner with its own kernels (a defocused inner) sweeps them
+// concurrently. Each corner's result is bit-identical to its own
+// AerialFromFreqInto call.
 func (p *Process) AerialAllFromFreq(mf *fft.Grid2) (nom, inner, outer *raster.Field) {
-	sims := [3]*Simulator{p.Nominal, p.Inner, p.Outer}
-	var outs [3]*raster.Field
-	for i, s := range sims {
-		outs[i] = raster.NewField(s.grid)
-	}
-	groups := kernelGroups(sims[:])
-	run := func(g []int) {
-		if len(g) == 1 {
-			sims[g[0]].AerialFromFreqInto(outs[g[0]], mf)
-			return
-		}
-		mfs := make([]*fft.Grid2, len(g))
-		gouts := make([]*raster.Field, len(g))
-		doses := make([]float64, len(g))
-		for i, ci := range g {
-			mfs[i], gouts[i], doses[i] = mf, outs[ci], sims[ci].cfg.Dose
-		}
-		sims[g[0]].batchAerialInto(gouts, mfs, doses)
-	}
+	nom = raster.NewField(p.Nominal.grid)
+	inner = raster.NewField(p.Inner.grid)
+	outer = raster.NewField(p.Outer.grid)
+	corners := [2]struct {
+		sim *Simulator
+		out *raster.Field
+	}{{p.Inner, inner}, {p.Outer, outer}}
 	var wg sync.WaitGroup
-	for _, g := range groups[1:] {
-		wg.Add(1)
-		go func(g []int) {
-			defer wg.Done()
-			run(g)
-		}(g)
+	for _, c := range corners {
+		if !sharesKernels(c.sim, p.Nominal) {
+			wg.Add(1)
+			go func(sim *Simulator, out *raster.Field) {
+				defer wg.Done()
+				sim.AerialFromFreqInto(out, mf)
+			}(c.sim, c.out)
+		}
 	}
-	run(groups[0])
+	sp := obs.Start("litho.aerial")
+	p.Nominal.sweep(nom, mf, nil)
+	sp.End()
+	for _, c := range corners {
+		if sharesKernels(c.sim, p.Nominal) {
+			copy(c.out.Data, nom.Data)
+			scaleDose(c.out.Data, c.sim.cfg.Dose)
+		}
+	}
+	scaleDose(nom.Data, p.Nominal.cfg.Dose)
 	wg.Wait()
-	return outs[0], outs[1], outs[2]
+	return nom, inner, outer
 }
 
 // sharesKernels reports whether two simulators image through the same
@@ -146,98 +146,4 @@ func (p *Process) AerialAllFromFreq(mf *fft.Grid2) (nom, inner, outer *raster.Fi
 // newSimulatorSharing), so comparing the first kernel pointer suffices.
 func sharesKernels(a, b *Simulator) bool {
 	return len(a.kernels) > 0 && len(a.kernels) == len(b.kernels) && a.kernels[0] == b.kernels[0]
-}
-
-// kernelGroups partitions simulator indices into groups sharing one
-// kernel set, preserving index order within and across groups.
-func kernelGroups(sims []*Simulator) [][]int {
-	var groups [][]int
-	assigned := make([]bool, len(sims))
-	for i := range sims {
-		if assigned[i] {
-			continue
-		}
-		g := []int{i}
-		assigned[i] = true
-		for j := i + 1; j < len(sims); j++ {
-			if !assigned[j] && sharesKernels(sims[i], sims[j]) {
-				g = append(g, j)
-				assigned[j] = true
-			}
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// BatchAerialAll images a batch of masks through all three corners with
-// the kernel sweeps shared across the whole batch: per kernel group, one
-// sweep covers every (mask, corner) pair, walking each kernel grid once
-// per batch instead of once per mask. Results are bit-identical to
-// calling AerialAll per mask. This is the server-side coalescing hook
-// for queued same-config clip jobs.
-func (p *Process) BatchAerialAll(masks []*raster.Field) (noms, inners, outers []*raster.Field) {
-	if len(masks) == 0 {
-		return nil, nil, nil
-	}
-	mfs := make([]*fft.Grid2, len(masks))
-	for i, mask := range masks {
-		mf := fft.GetGrid(mask.Size, mask.Size)
-		MaskFreqInto(mf, mask)
-		mfs[i] = mf
-	}
-	sims := [3]*Simulator{p.Nominal, p.Inner, p.Outer}
-	outs := [3][]*raster.Field{}
-	for c, s := range sims {
-		outs[c] = make([]*raster.Field, len(masks))
-		for i := range masks {
-			outs[c][i] = raster.NewField(s.grid)
-		}
-	}
-	groups := kernelGroups(sims[:])
-	run := func(g []int) {
-		// Mask-major member order keeps equal spectrum pointers adjacent,
-		// so each mask pays one convolution per kernel no matter how many
-		// corners of the group image it.
-		bmfs := make([]*fft.Grid2, 0, len(g)*len(masks))
-		bouts := make([]*raster.Field, 0, len(g)*len(masks))
-		doses := make([]float64, 0, len(g)*len(masks))
-		for i := range masks {
-			for _, ci := range g {
-				bmfs = append(bmfs, mfs[i])
-				bouts = append(bouts, outs[ci][i])
-				doses = append(doses, sims[ci].cfg.Dose)
-			}
-		}
-		sims[g[0]].batchAerialInto(bouts, bmfs, doses)
-	}
-	var wg sync.WaitGroup
-	for _, g := range groups[1:] {
-		wg.Add(1)
-		go func(g []int) {
-			defer wg.Done()
-			run(g)
-		}(g)
-	}
-	run(groups[0])
-	wg.Wait()
-	for _, mf := range mfs {
-		fft.PutGrid(mf)
-	}
-	return outs[0], outs[1], outs[2]
-}
-
-// BatchPrintedAll is BatchAerialAll binarised at each corner's resist
-// threshold.
-func (p *Process) BatchPrintedAll(masks []*raster.Field) (noms, inners, outers []*raster.Binary) {
-	nomA, innerA, outerA := p.BatchAerialAll(masks)
-	noms = make([]*raster.Binary, len(masks))
-	inners = make([]*raster.Binary, len(masks))
-	outers = make([]*raster.Binary, len(masks))
-	for i := range masks {
-		noms[i] = nomA[i].Threshold(p.Nominal.cfg.Threshold)
-		inners[i] = innerA[i].Threshold(p.Inner.cfg.Threshold)
-		outers[i] = outerA[i].Threshold(p.Outer.cfg.Threshold)
-	}
-	return noms, inners, outers
 }

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"cardopc/internal/fft"
 	"cardopc/internal/geom"
+	"cardopc/internal/raster"
 )
 
 func TestSharedCornerKernels(t *testing.T) {
@@ -31,20 +33,37 @@ func TestSharedCornerKernels(t *testing.T) {
 }
 
 func TestAerialAllMatchesSequential(t *testing.T) {
-	// The concurrent three-corner evaluation must be bit-identical to
-	// imaging each corner on its own.
-	p := NewProcess(testConfig(), DefaultCorners())
-	mask := maskWithRect(p.Nominal.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
-	nom, inner, outer := p.AerialAll(mask)
-	mf := MaskFreq(mask)
-	for name, pair := range map[string][2][]float64{
-		"nominal": {nom.Data, p.Nominal.AerialFromFreq(mf).Data},
-		"inner":   {inner.Data, p.Inner.AerialFromFreq(mf).Data},
-		"outer":   {outer.Data, p.Outer.AerialFromFreq(mf).Data},
+	// The three-corner evaluation — one nominal sweep scaled per dose
+	// corner, a defocused corner swept concurrently — must be
+	// bit-identical to imaging each corner on its own.
+	for _, tc := range []struct {
+		name string
+		dose float64
+		spec CornerSpec
+	}{
+		{"default corners", 1, DefaultCorners()},
+		// No defocus: all three corners share one kernel set, so both
+		// inner and outer come from scaling the nominal sweep.
+		{"dose-only corners", 1, CornerSpec{DoseDelta: 0.02}},
+		// A non-unit nominal dose scales the nominal image too.
+		{"nominal dose 0.9", 0.9, DefaultCorners()},
 	} {
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("%s corner differs at pixel %d: %v vs %v", name, i, pair[0][i], pair[1][i])
+		cfg := testConfig()
+		cfg.Dose = tc.dose
+		p := NewProcess(cfg, tc.spec)
+		mask := maskWithRect(p.Nominal.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
+		nom, inner, outer := p.AerialAll(mask)
+		mf := MaskFreqInto(fft.NewGrid2(mask.Size, mask.Size), mask)
+		for _, c := range []struct {
+			name string
+			got  *raster.Field
+			sim  *Simulator
+		}{{"nominal", nom, p.Nominal}, {"inner", inner, p.Inner}, {"outer", outer, p.Outer}} {
+			want := c.sim.AerialFromFreqInto(raster.NewField(c.sim.Grid()), mf)
+			for i := range want.Data {
+				if c.got.Data[i] != want.Data[i] {
+					t.Fatalf("%s: %s corner differs at pixel %d: %v vs %v", tc.name, c.name, i, c.got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
@@ -73,9 +92,10 @@ func TestForwardCacheReuse(t *testing.T) {
 	}
 	grad := make([]float64, len(G))
 	s.GradientFromCacheInto(grad, cache, G)
-	_, freshCache := s.AerialWithCache(m2)
+	freshCache := s.NewForwardCache()
 	defer freshCache.Release()
-	wantGrad := s.GradientFromCache(freshCache, G)
+	s.AerialWithCacheInto(raster.NewField(s.Grid()), freshCache, m2)
+	wantGrad := s.GradientFromCacheInto(make([]float64, len(G)), freshCache, G)
 	for i := range grad {
 		if grad[i] != wantGrad[i] {
 			t.Fatalf("cached gradient differs at element %d", i)

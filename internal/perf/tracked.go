@@ -31,21 +31,20 @@ type Tracked struct {
 // TrackedSet returns the curated hot-path set, one entry per package:
 // FFT transforms (the litho inner loop, complex and real-input), aerial
 // image + adjoint gradient (the OPC/ILT cost evaluation) plus the
-// half-spectrum mask transform and the four-mask batched kernel sweep,
-// raster fill and marching squares (mask
-// ↔ field conversion), R-tree build/search (MRC neighbour queries),
-// spline evaluation (control-point connection), MRC resolve, the
-// cardopc-vet driver cold vs warm-cache (the CI gate's own latency),
-// scoped telemetry emission (the per-record price on cardopcd's emit
-// path, disabled and enabled), and the cardopcd service round-trip
-// (submit → poll → done on a warm daemon, reporting req/s and p99-ms
-// alongside ns/op).
+// three-corner process window and the half-spectrum mask transform,
+// raster fill and marching squares (mask ↔ field conversion), R-tree
+// build/search (MRC neighbour queries), spline evaluation
+// (control-point connection), MRC resolve, the cardopc-vet driver cold
+// vs warm-cache (the CI gate's own latency), scoped telemetry emission
+// (the per-record price on cardopcd's emit path, disabled and enabled),
+// and the cardopcd service round-trip (submit → poll → done on a warm
+// daemon, reporting req/s and p99-ms alongside ns/op).
 func TrackedSet() []Tracked {
 	return []Tracked{
 		{Pkg: "./internal/analysis", Pattern: "^(BenchmarkVetCold|BenchmarkVetWarm|BenchmarkVetDataflow|BenchmarkVetInterproc)$"},
 		{Pkg: "./internal/obs", Pattern: "^BenchmarkEmitScoped$"},
 		{Pkg: "./internal/fft", Pattern: "^(BenchmarkForward1024|BenchmarkForward2_256|BenchmarkRealForward2_256)$"},
-		{Pkg: "./internal/litho", Pattern: "^(BenchmarkAerial256|BenchmarkGradient256|BenchmarkAerialAll512|BenchmarkMaskFreqReal|BenchmarkBatchAerial4)$"},
+		{Pkg: "./internal/litho", Pattern: "^(BenchmarkAerial256|BenchmarkGradient256|BenchmarkAerialAll512|BenchmarkMaskFreqReal)$"},
 		{Pkg: "./internal/raster", Pattern: "^(BenchmarkFillPolygon|BenchmarkMarchingSquares)$"},
 		{Pkg: "./internal/rtree", Pattern: "^(BenchmarkSTRBuild1000|BenchmarkSearch1000)$"},
 		{Pkg: "./internal/spline", Pattern: "^BenchmarkLoopSample$"},

@@ -44,8 +44,8 @@ type JobSpec struct {
 }
 
 // validate rejects malformed specs at submit time, so clients get a 400
-// instead of a queued job that fails. It resolves the layout and preset
-// the same way the run path will.
+// instead of a queued job that fails. It resolves the layout, preset and
+// imaging config the same way the run path will.
 func (s JobSpec) validate() error {
 	switch s.Kind {
 	case "", "clip", "bigopc", "ilt":
@@ -74,7 +74,7 @@ func (s JobSpec) validate() error {
 	if s.Iters < 0 || s.Grid < 0 || s.PitchNM < 0 || s.TimeoutMS < 0 {
 		return fmt.Errorf("negative iters/grid/pitch/timeout")
 	}
-	return nil
+	return lithoConfig(s).Validate()
 }
 
 // clip resolves the spec's layout: the named built-in case, or the

@@ -100,10 +100,13 @@ func (s *Server) runSpec(ctx context.Context, spec JobSpec) (res *JobResult, err
 }
 
 // lithoConfig resolves the spec's raster overrides against the serving
-// default.
-func lithoConfig(spec JobSpec, defaultPitch float64) litho.Config {
+// default for its kind. Tiled layouts default to a coarser raster so the
+// optical window covers tile + halos (512 px × 8 nm = 4096 nm field).
+func lithoConfig(spec JobSpec) litho.Config {
 	lcfg := litho.DefaultConfig()
-	lcfg.PitchNM = defaultPitch
+	if spec.Kind == "bigopc" {
+		lcfg.PitchNM = 8
+	}
 	if spec.Grid > 0 {
 		lcfg.GridSize = spec.Grid
 	}
@@ -123,7 +126,7 @@ func (s *Server) runClip(ctx context.Context, spec JobSpec) (*JobResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	lcfg := lithoConfig(spec, litho.DefaultConfig().PitchNM)
+	lcfg := lithoConfig(spec)
 	if err := lcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -152,7 +155,7 @@ func (s *Server) runClip(ctx context.Context, spec JobSpec) (*JobResult, error) 
 		Iterations:    res.Iterations,
 		Shapes:        len(polys),
 	}
-	measureClip(s.batch, proc, polys, clip.Targets, cfg.ProbeSpacing, out)
+	measureClip(proc, polys, clip.Targets, cfg.ProbeSpacing, out)
 	if spec.ReturnMask {
 		out.MaskPolys = encodePolys(polys)
 	}
@@ -160,13 +163,11 @@ func (s *Server) runClip(ctx context.Context, spec JobSpec) (*JobResult, error) 
 }
 
 // measureClip fills the EPE/PVB/L2 metric suite — the same measurements
-// the cardopc CLI prints. The three-corner imaging goes through the
-// batcher so concurrent same-config jobs share one kernel sweep; batch
-// may be nil (solo imaging).
-func measureClip(batch *aerialBatcher, proc *litho.Process, maskPolys, targets []geom.Polygon, spacing float64, out *JobResult) {
+// the cardopc CLI prints.
+func measureClip(proc *litho.Process, maskPolys, targets []geom.Polygon, spacing float64, out *JobResult) {
 	g := proc.Nominal.Grid()
 	mask := raster.Rasterize(g, maskPolys, 4)
-	nomA, innerA, outerA := batch.aerialAll(proc, mask)
+	nomA, innerA, outerA := proc.AerialAll(mask)
 	ith := proc.Nominal.Config().Threshold
 
 	probes := metrics.ProbesForLayout(targets, spacing)
@@ -193,7 +194,7 @@ func (s *Server) runILT(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lcfg := lithoConfig(spec, litho.DefaultConfig().PitchNM)
+	lcfg := lithoConfig(spec)
 	if err := lcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -231,9 +232,7 @@ func (s *Server) runBigopc(ctx context.Context, spec JobSpec) (*JobResult, error
 	if err != nil {
 		return nil, err
 	}
-	// Tiled layouts default to a coarser raster so the optical window
-	// covers tile + halos (512 px × 8 nm = 4096 nm field).
-	lcfg := lithoConfig(spec, 8)
+	lcfg := lithoConfig(spec)
 	if err := lcfg.Validate(); err != nil {
 		return nil, err
 	}

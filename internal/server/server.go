@@ -51,9 +51,6 @@ type Config struct {
 	// MaxJobs caps the tracked-job table; the oldest finished jobs are
 	// evicted beyond it (default 1024).
 	MaxJobs int
-	// MaxAerialBatch bounds how many concurrent same-config clip
-	// measurements coalesce into one batched kernel sweep (default 4).
-	MaxAerialBatch int
 }
 
 // withDefaults fills the zero fields.
@@ -73,9 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
 	}
-	if c.MaxAerialBatch <= 0 {
-		c.MaxAerialBatch = 4
-	}
 	return c
 }
 
@@ -86,7 +80,6 @@ type Server struct {
 	mux   *http.ServeMux
 	queue *jobQueue
 	procs *litho.ProcessCache
-	batch *aerialBatcher
 	hub   *eventHub
 	state *obs.State
 
@@ -109,7 +102,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		queue:   newJobQueue(cfg.QueueDepth),
 		procs:   litho.NewProcessCache(),
-		batch:   newAerialBatcher(cfg.MaxAerialBatch),
 		hub:     newEventHub(),
 		jobs:    map[string]*Job{},
 		started: time.Now(),

@@ -225,12 +225,14 @@ func TestSubmitValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 
 	for name, spec := range map[string]JobSpec{
-		"no layout":    {Kind: "clip"},
-		"bad kind":     {Kind: "nope", Case: "V1"},
-		"bad case":     {Case: "V99"},
-		"bad layer":    {Case: "V1", Layer: "poly"},
-		"thin target":  {Targets: [][][2]float64{{{0, 0}, {1, 1}}}},
-		"both layouts": {Case: "V1", Targets: tinySpec().Targets},
+		"no layout":      {Kind: "clip"},
+		"bad kind":       {Kind: "nope", Case: "V1"},
+		"bad case":       {Case: "V99"},
+		"bad layer":      {Case: "V1", Layer: "poly"},
+		"thin target":    {Targets: [][][2]float64{{{0, 0}, {1, 1}}}},
+		"both layouts":   {Case: "V1", Targets: tinySpec().Targets},
+		"grid not pow2":  {Case: "V1", Grid: 100},
+		"grid too small": {Case: "V1", Grid: 16},
 	} {
 		if _, resp := postJob(t, ts, spec); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: got %d, want 400", name, resp.StatusCode)
@@ -244,6 +246,19 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON: got %d, want 400", resp.StatusCode)
+	}
+}
+
+func TestLithoConfigNormalisedAndValid(t *testing.T) {
+	// The server's spec decoder applies the zero-means-default dose
+	// contract explicitly: the resolved config carries Dose 1 and passes
+	// the strict Validate (which rejects a literal zero dose).
+	lcfg := lithoConfig(JobSpec{Kind: "clip", Grid: 256, PitchNM: 8})
+	if lcfg.Dose != 1 {
+		t.Errorf("resolved dose = %v, want 1", lcfg.Dose)
+	}
+	if err := lcfg.Validate(); err != nil {
+		t.Errorf("resolved config invalid: %v", err)
 	}
 }
 
