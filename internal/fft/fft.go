@@ -1,9 +1,8 @@
 // Package fft provides hand-written fast Fourier transforms used by the
 // lithography simulator and the pixel ILT engine: an iterative radix-2
 // complex FFT, 2-D transforms parallelised across rows over a persistent
-// worker pool, fftshift helpers, frequency-domain convolution and pooled
-// scratch workspaces so the litho hot path runs allocation-free in steady
-// state.
+// worker pool, real-input transforms, fftshift helpers and pooled scratch
+// workspaces so the litho hot path runs allocation-free in steady state.
 //
 // All transforms are in-place over []complex128 and require power-of-two
 // lengths; Pow2Ceil helps callers pick grid sizes.
@@ -313,32 +312,4 @@ func Shift2(g *Grid2) {
 			g.Data[i], g.Data[j] = g.Data[j], g.Data[i]
 		}
 	}
-}
-
-// MulInto sets dst = a ⊙ b elementwise. Grids must share dimensions.
-//
-//cardopc:noalloc
-func MulInto(dst, a, b *Grid2) {
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
-// Convolve computes the circular convolution mask ⊗ kernelFreq where
-// kernelFreq is already in the frequency domain (corner-centred). maskFreq
-// must be the forward transform of the mask; the result is written into a
-// fresh spatial-domain grid.
-func Convolve(maskFreq, kernelFreq *Grid2) *Grid2 {
-	out := NewGrid2(maskFreq.W, maskFreq.H)
-	MulInto(out, maskFreq, kernelFreq)
-	Inverse2(out)
-	return out
-}
-
-// ConvolveInto is Convolve reusing out's storage.
-//
-//cardopc:noalloc
-func ConvolveInto(out, maskFreq, kernelFreq *Grid2) {
-	MulInto(out, maskFreq, kernelFreq)
-	Inverse2(out)
 }

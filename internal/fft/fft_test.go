@@ -293,60 +293,6 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 }
 
-func TestConvolveDelta(t *testing.T) {
-	// Convolving with a delta at the origin is the identity.
-	r := rand.New(rand.NewSource(6))
-	mask := NewGrid2(16, 16)
-	for i := range mask.Data {
-		mask.Data[i] = complex(r.Float64(), 0)
-	}
-	orig := mask.Clone()
-	kernel := NewGrid2(16, 16)
-	kernel.Set(0, 0, 1)
-	Forward2(mask)
-	Forward2(kernel)
-	out := Convolve(mask, kernel)
-	if e := maxErr(out.Data, orig.Data); e > 1e-10 {
-		t.Errorf("delta convolution err = %v", e)
-	}
-}
-
-func TestConvolveShift(t *testing.T) {
-	// Convolving with a delta at (dx, dy) shifts the image circularly.
-	mask := NewGrid2(8, 8)
-	mask.Set(2, 3, 1)
-	kernel := NewGrid2(8, 8)
-	kernel.Set(1, 2, 1)
-	Forward2(mask)
-	Forward2(kernel)
-	out := Convolve(mask, kernel)
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			want := complex128(0)
-			if x == 3 && y == 5 {
-				want = 1
-			}
-			if cmplx.Abs(out.At(x, y)-want) > 1e-10 {
-				t.Errorf("(%d,%d) = %v, want %v", x, y, out.At(x, y), want)
-			}
-		}
-	}
-}
-
-func TestConvolveInto(t *testing.T) {
-	mask := NewGrid2(8, 8)
-	mask.Set(1, 1, 1)
-	kernel := NewGrid2(8, 8)
-	kernel.Set(0, 0, 2)
-	Forward2(mask)
-	Forward2(kernel)
-	out := NewGrid2(8, 8)
-	ConvolveInto(out, mask, kernel)
-	if cmplx.Abs(out.At(1, 1)-2) > 1e-10 {
-		t.Errorf("ConvolveInto = %v, want 2", out.At(1, 1))
-	}
-}
-
 func BenchmarkForward1024(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randComplex(r, 1024)

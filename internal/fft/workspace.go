@@ -7,12 +7,13 @@ import (
 )
 
 // Scratch pooling for the litho/ILT hot path: every aerial-image or
-// adjoint-gradient evaluation needs one n×n complex grid plus one n×n
-// float accumulator per worker, and reallocating those per call
-// (≈6 MB/worker/iteration at 512²) dominated steady-state allocation.
-// Grids and workspaces are pooled per element count; sizes vary only
-// with the tile grid, so the pools stay small and sync.Pool's GC
-// integration bounds idle memory.
+// adjoint-gradient evaluation needs a small complex grid plus an
+// accumulator per kernel worker, and raster-sized spectra and transform
+// scratch for the mask transform and the final inverse — megabytes per
+// evaluation at 512², which reallocating per call would turn into
+// steady-state allocation churn. Grids and workspaces are pooled per
+// element count; sizes vary only with the tile grid, so the pools stay
+// small and sync.Pool's GC integration bounds idle memory.
 
 var (
 	gridPools sync.Map // element count → *sync.Pool of *Grid2
@@ -30,7 +31,7 @@ func poolIn(m *sync.Map, n int) *sync.Pool {
 
 // GetGrid returns a w×h grid from the free pool, allocating only on a
 // pool miss. The contents are unspecified — callers must overwrite
-// every element (transforms, transposes and MulInto all do). Return the
+// every element (transforms and transposes do). Return the
 // grid with PutGrid once it is no longer referenced.
 func GetGrid(w, h int) *Grid2 {
 	if v := poolIn(&gridPools, w*h).Get(); v != nil {
@@ -57,10 +58,10 @@ func PutGrid(g *Grid2) {
 }
 
 // Workspace bundles the per-worker scratch of one litho kernel loop: a
-// complex grid for the frequency-domain convolution and a float
-// accumulator for the weighted intensity partial sum.
+// complex grid for one kernel's field and a float accumulator for the
+// weighted intensity partial sum.
 type Workspace struct {
-	// Grid is w×h convolution scratch with unspecified contents.
+	// Grid is w×h transform scratch with unspecified contents.
 	Grid *Grid2
 	// Acc is a zeroed w·h accumulator.
 	Acc []float64

@@ -8,8 +8,8 @@ import (
 
 // ProcessCache shares built Process stacks (SOCS kernel sets plus their
 // corner simulators) across requests keyed by imaging configuration.
-// Kernel construction is the dominant cold-start cost of a correction
-// job (tens of FFT-sized grids filled per corner), and the kernel sets
+// Kernel construction fills one support box per kernel (two sets of 23
+// boxes of 31² bins for the default 512 px process), and the kernel sets
 // are immutable once built, so a long-running server can hand the same
 // *Process to every job that images with the same optics. The cache is
 // safe for concurrent use; concurrent misses on the same key build once

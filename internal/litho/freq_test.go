@@ -27,24 +27,40 @@ func TestFreqOfFFTFreqLayout(t *testing.T) {
 	}
 }
 
+// scatterKernel writes kernel k over the full raster into g: its box
+// values, zero elsewhere.
+func scatterKernel(g *fft.Grid2, bd band, k *kernel) {
+	clear(g.Data)
+	mask := bd.n - 1
+	for i := 0; i < bd.b; i++ {
+		for j := 0; j < bd.b; j++ {
+			g.Set((k.dx+bd.lo+j)&mask, (k.dy+bd.lo+i)&mask, k.box[i*bd.b+j])
+		}
+	}
+}
+
 func TestNyquistBinUsesNegativeFrequency(t *testing.T) {
 	// Pin the convention where it is observable: pick a cutoff and source
 	// shift with |−Nyq+sx| ≤ fc < |+Nyq+sx|, so the Nyquist column lies
 	// inside the shifted pupil only when the bin maps to the negative
-	// frequency. Under the old +Nyq mapping this bin read zero.
+	// frequency. Under the old +Nyq mapping this bin read zero. The box
+	// (15 bins around d = −2) reaches the Nyquist column through the
+	// wrapped index, so this drives the production box fill.
 	const (
 		n  = 16
 		df = 1.0
 		fc = 6.5 // Nyq = 8: |−8+2| = 6 ≤ 6.5 < |8+2| = 10
 		sx = 2.0
 	)
+	bd := newBand(n, fc/df)
+	pp := pupil{df: df, fc: fc, wavelengthNM: 193}
 	g := fft.NewGrid2(n, n)
-	pupilKernel(g, df, fc, sx, 0, 193, 0)
+	scatterKernel(g, bd, bd.kernel(pp, sx, 0))
 	if v := g.At(n/2, 0); v != 1 {
 		t.Errorf("Nyquist-column kernel value = %v, want 1 (inside shifted pupil)", v)
 	}
 	// And the mirrored shift keeps it out: |−8−2| = 10 > 6.5.
-	pupilKernel(g, df, fc, -sx, 0, 193, 0)
+	scatterKernel(g, bd, bd.kernel(pp, -sx, 0))
 	if v := g.At(n/2, 0); v != 0 {
 		t.Errorf("Nyquist-column kernel value = %v under −sx, want 0", v)
 	}
@@ -64,11 +80,13 @@ func TestMirroredSourceKernelsMirror(t *testing.T) {
 		fc = 3.0
 		sx = 2.0 // fc + sx = 5 < Nyq = 8
 	)
+	bd := newBand(n, fc/df)
+	// Nonzero defocus exercises the phase term too.
+	pp := pupil{df: df, fc: fc, wavelengthNM: 193, defocusNM: 40}
 	g1 := fft.NewGrid2(n, n)
 	g2 := fft.NewGrid2(n, n)
-	// Nonzero defocus exercises the phase term too.
-	pupilKernel(g1, df, fc, sx, 0, 193, 40)
-	pupilKernel(g2, df, fc, -sx, 0, 193, 40)
+	scatterKernel(g1, bd, bd.kernel(pp, sx, 0))
+	scatterKernel(g2, bd, bd.kernel(pp, -sx, 0))
 	for y := 0; y < n; y++ {
 		for x := 0; x < n; x++ {
 			if got, want := g2.At((n-x)%n, y), g1.At(x, y); got != want {

@@ -10,9 +10,10 @@ import (
 	"cardopc/internal/raster"
 )
 
-// ForwardCache keeps the per-kernel coherent fields A_k = M ⊗ h_k of one
-// forward simulation so the adjoint gradient can be evaluated without
-// re-convolving. A cache is bound to one simulator, is not safe for
+// ForwardCache keeps the per-kernel coherent fields of one forward
+// simulation — each A_k = M ⊗ h_k with its band shifted to bin 0, sampled
+// on the m×m grid in that grid's transform scale — so the adjoint
+// gradient can be evaluated without re-convolving. A cache is bound to one simulator, is not safe for
 // concurrent use, and may be reused across iterations (each
 // AerialWithCacheInto overwrites it in place); Release returns its grids
 // to the fft pool when the optimisation loop is done.
@@ -27,14 +28,14 @@ func (s *Simulator) NewForwardCache() *ForwardCache {
 	return &ForwardCache{sim: s}
 }
 
-// ensure draws the per-kernel amplitude grids from the fft pool.
-func (c *ForwardCache) ensure(n int) {
+// ensure draws the per-kernel m×m amplitude grids from the fft pool.
+func (c *ForwardCache) ensure(m int) {
 	if c.amps == nil {
 		c.amps = make([]*fft.Grid2, len(c.sim.kernels))
 	}
 	for i, a := range c.amps {
 		if a == nil {
-			c.amps[i] = fft.GetGrid(n, n) // cache-owned: Release returns every non-nil slot
+			c.amps[i] = fft.GetGrid(m, m) // cache-owned: Release returns every non-nil slot
 		}
 	}
 }
@@ -68,7 +69,7 @@ func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, 
 	}
 	mf := fft.GetGrid(n, n)
 	MaskFreqInto(mf, mask)
-	cache.ensure(n)
+	cache.ensure(s.band.m)
 	s.sweep(out, mf, cache.amps)
 	fft.PutGrid(mf)
 	scaleDose(out.Data, s.cfg.Dose)
@@ -87,63 +88,72 @@ func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, 
 //	∂L/∂M = Dose · Σ_k 2 w_k · Re[ corr(G ⊙ A_k, h_k) ] ,
 //
 // where corr is cross-correlation, evaluated in the frequency domain as
-// IFFT( FFT(G ⊙ A_k) ⊙ conj(H_k) ). Worker scratch comes from the fft
-// workspace pool and the reduction runs in worker order, so results are
+// IFFT( FFT(G ⊙ A_k) ⊙ conj(H_k) ). Only FFT(G ⊙ A_k) over kernel k's box
+// survives the product, and only G's |f| ≤ 2a box reaches it, so G is
+// low-passed onto the m×m grid once (g_m; G itself when m = n), each
+// kernel runs one forward m×m transform of g_m ⊙ a_k, and the products
+// accumulate in a spectrum over the union of the boxes that one real
+// inverse transform brings to the raster. Worker scratch comes from the
+// fft pools and the reduction runs in worker order, so results are
 // bit-identical across runs.
 //
 //cardopc:noalloc
 func (s *Simulator) GradientFromCacheInto(grad []float64, cache *ForwardCache, G []float64) []float64 {
 	defer obs.Start("litho.gradient").End()
 	obs.C("litho.gradient.count").Inc()
-	n := s.cfg.GridSize
+	bd := s.band
+	n, m := bd.n, bd.m
 	if cache.sim != s {
 		panic("litho: ForwardCache used with a different simulator")
 	}
 	if len(grad) != n*n || len(G) != n*n {
 		panic(fmt.Sprintf("litho: gradient buffers %d/%d px for a %d px imager", len(grad), len(G), n))
 	}
-	clear(grad)
+	gm := G
+	if m < n {
+		lp := fft.GetWorkspace(m, m)
+		defer lp.Release()
+		bd.resampleInto(lp.Acc, m, G, n, 2*bd.a)
+		gm = lp.Acc
+	}
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(s.kernels) {
 		workers = len(s.kernels)
 	}
-	wss := make([]*fft.Workspace, workers) //cardopc:allow noalloc GOMAXPROCS-bounded fan-out slice, inside the litho allocs/op budget
+	accs := make([]*fft.Grid2, workers) //cardopc:allow noalloc GOMAXPROCS-bounded fan-out slice, inside the litho allocs/op budget
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) { //cardopc:allow noalloc one worker closure per fan-out, inside the litho allocs/op budget
 			defer wg.Done()
-			ws := fft.GetWorkspace(n, n)
-			buf := ws.Grid
+			buf := fft.GetGrid(m, m)
+			acc := fft.GetGrid(bd.u, bd.u)
+			clear(acc.Data)
 			for ki := w; ki < len(s.kernels); ki += workers {
 				ksp := obs.StartOn(obs.TrackLithoWorker+w, "litho.grad_kernel")
 				amp := cache.amps[ki]
 				for i := range buf.Data {
-					buf.Data[i] = complex(G[i], 0) * amp.Data[i]
+					buf.Data[i] = complex(gm[i], 0) * amp.Data[i]
 				}
 				fft.Forward2(buf)
-				kern := s.kernels[ki]
-				for i := range buf.Data {
-					kv := kern.Data[i]
-					buf.Data[i] *= complex(real(kv), -imag(kv))
-				}
-				fft.Inverse2(buf)
-				wk := 2 * s.weights[ki] * s.cfg.Dose
-				for i, v := range buf.Data {
-					ws.Acc[i] += wk * real(v)
-				}
+				bd.correlateInto(acc.Data, buf, s.kernels[ki], 2*s.weights[ki]*s.cfg.Dose)
 				ksp.End()
 			}
-			wss[w] = ws
+			fft.PutGrid(buf)
+			accs[w] = acc
 		}(w)
 	}
 	wg.Wait()
-	for _, ws := range wss {
-		for i, v := range ws.Acc {
-			grad[i] += v
+	sum := accs[0].Data
+	for _, acc := range accs[1:] {
+		for i, v := range acc.Data {
+			sum[i] += v
 		}
-		ws.Release()
+	}
+	bd.realInverseInto(grad, sum)
+	for _, acc := range accs {
+		fft.PutGrid(acc)
 	}
 	return grad
 }

@@ -78,6 +78,7 @@ func newSimulatorSharing(cfg Config, donor *Simulator) *Simulator {
 	return &Simulator{
 		cfg:     cfg,
 		grid:    donor.grid,
+		band:    donor.band,
 		kernels: donor.kernels,
 		weights: donor.weights,
 	}
