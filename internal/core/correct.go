@@ -32,6 +32,7 @@ type Optimizer struct {
 	targets []geom.Polygon
 
 	field   *raster.Field // mask raster scratch
+	holes   *raster.Field // hole-loop raster scratch, sized on the first mask with a hole
 	aerial  *raster.Field // aerial image scratch
 	smoothW []float64     // binomial smoothing weights for cfg.SmoothWindow
 
@@ -126,7 +127,7 @@ func (o *Optimizer) Step(it int) float64 {
 
 	// ③ Connect control points and ④ simulate.
 	rsp := o.scope.Start("opc.rasterize")
-	o.mask.RasterizeInto(o.field, o.cfg.SamplesPerSeg, 4)
+	o.mask.rasterizeInto(o.field, o.holeScratch(), o.cfg.SamplesPerSeg, 4)
 	rsp.End()
 	aerial := o.sim.AerialInto(o.aerial, o.field)
 	ith := o.sim.Config().Threshold
@@ -236,6 +237,16 @@ func (o *Optimizer) shapeMoves(s *Shape, aerial *raster.Field, ith, step float64
 		moves[i] = dir.Mul(mag)
 	}
 	return moves
+}
+
+// holeScratch returns the raster the mask's hole loops render into: nil
+// until the first mask with a hole, then one raster kept for every later
+// step and Reset.
+func (o *Optimizer) holeScratch() *raster.Field {
+	if o.holes == nil && o.mask.hasHoles() {
+		o.holes = raster.NewField(o.sim.Grid())
+	}
+	return o.holes
 }
 
 // ensureStepScratch lazily sizes the Shape's per-step buffers: move

@@ -128,16 +128,27 @@ func (m *Mask) Rasterize(g raster.Grid, perSeg, ss int) *raster.Field {
 	return f
 }
 
-// RasterizeInto is Rasterize reusing f's storage.
+// RasterizeInto is Rasterize reusing f's storage. A mask with hole loops
+// allocates a raster for them per call; Optimizer.Step keeps one instead.
 func (m *Mask) RasterizeInto(f *raster.Field, perSeg, ss int) {
-	for i := range f.Data {
-		f.Data[i] = 0
-	}
 	var holes *raster.Field
+	if m.hasHoles() {
+		holes = raster.NewField(f.Grid)
+	}
+	m.rasterizeInto(f, holes, perSeg, ss)
+}
+
+// rasterizeInto is RasterizeInto rendering the hole loops into holes
+// (f's grid, overwritten when the mask has a hole), which may be nil
+// when it has none.
+func (m *Mask) rasterizeInto(f, holes *raster.Field, perSeg, ss int) {
+	clear(f.Data)
+	hasHoles := false
 	for _, s := range m.Shapes {
 		if s.Hole {
-			if holes == nil {
-				holes = raster.NewField(f.Grid)
+			if !hasHoles {
+				clear(holes.Data)
+				hasHoles = true
 			}
 			holes.FillPolygon(s.Poly(perSeg), ss)
 			continue
@@ -145,13 +156,23 @@ func (m *Mask) RasterizeInto(f *raster.Field, perSeg, ss int) {
 		f.FillPolygon(s.Poly(perSeg), ss)
 	}
 	f.Clamp01()
-	if holes != nil {
+	if hasHoles {
 		holes.Clamp01()
 		for i := range f.Data {
 			f.Data[i] -= holes.Data[i]
 		}
 		f.Clamp01()
 	}
+}
+
+// hasHoles reports whether the mask has a hole loop.
+func (m *Mask) hasHoles() bool {
+	for _, s := range m.Shapes {
+		if s.Hole {
+			return true
+		}
+	}
+	return false
 }
 
 // NewMask builds the initial CardOPC mask for the target polygons: SRAF

@@ -154,3 +154,29 @@ func TestHoleShapesSubtract(t *testing.T) {
 		t.Errorf("rim coverage = %v", v)
 	}
 }
+
+func TestRasterizeIntoHoleScratch(t *testing.T) {
+	// Step renders hole loops into a kept scratch raster. The result
+	// must equal Rasterize's, and a scratch left over from a mask with a
+	// hole must not leak into a later mask without one.
+	cfg := ViaConfig()
+	outer := UniformControlPoints(geom.Rect{Min: geom.P(100, 100), Max: geom.P(400, 400)}.Poly(), 50)
+	hole := UniformControlPoints(geom.Rect{Min: geom.P(200, 200), Max: geom.P(300, 300)}.Poly(), 50)
+	solid := &Mask{}
+	solid.AddFittedShapes([][]geom.Pt{outer}, cfg, false)
+	holed := &Mask{}
+	holed.AddFittedShapes([][]geom.Pt{outer}, cfg, false)
+	holed.AddHoleShapes([][]geom.Pt{hole}, cfg)
+
+	g := raster.Grid{Size: 128, Pitch: 4}
+	f, holes := raster.NewField(g), raster.NewField(g)
+	for _, m := range []*Mask{holed, solid, holed} {
+		m.rasterizeInto(f, holes, 8, 4)
+		want := m.Rasterize(g, 8, 4)
+		for i := range want.Data {
+			if f.Data[i] != want.Data[i] {
+				t.Fatalf("pixel %d = %v with hole scratch, %v without (holes %v)", i, f.Data[i], want.Data[i], m.hasHoles())
+			}
+		}
+	}
+}

@@ -250,27 +250,25 @@ func Inverse2(g *Grid2) {
 // written contiguously.
 const transposeBlock = 32
 
-// transposeInto writes srcᵀ into dst. dst must have dst.W == src.H and
-// dst.H == src.W; contents are fully overwritten.
+// transposeInto writes the transpose of src's leading w×h block (w
+// columns of its first h rows) into dst's leading h×w block; the rest of
+// dst is untouched. The tiles are the parallel work items, so a thin
+// block spreads over the pool whichever way it is thin.
 //
 //cardopc:noalloc
-func transposeInto(dst, src *Grid2) {
-	if dst.W != src.H || dst.H != src.W {
-		panic(fmt.Sprintf("fft: transpose %dx%d into %dx%d", src.W, src.H, dst.W, dst.H))
+func transposeInto(dst, src *Grid2, w, h int) {
+	if w > src.W || h > src.H || h > dst.W || w > dst.H {
+		panic(fmt.Sprintf("fft: transpose %dx%d block of a %dx%d grid into %dx%d", w, h, src.W, src.H, dst.W, dst.H))
 	}
-	nxb := (src.W + transposeBlock - 1) / transposeBlock
-	nyb := (src.H + transposeBlock - 1) / transposeBlock
-	parallelRows(nxb, func(xb int) { //cardopc:allow noalloc one fan-out closure per transpose, pinned by BenchmarkForward2's allocs/op
-		x0 := xb * transposeBlock
-		x1 := min(x0+transposeBlock, src.W)
-		for yb := 0; yb < nyb; yb++ {
-			y0 := yb * transposeBlock
-			y1 := min(y0+transposeBlock, src.H)
-			for x := x0; x < x1; x++ {
-				d := x * dst.W
-				for y := y0; y < y1; y++ {
-					dst.Data[d+y] = src.Data[y*src.W+x]
-				}
+	nxb := (w + transposeBlock - 1) / transposeBlock
+	nyb := (h + transposeBlock - 1) / transposeBlock
+	parallelRows(nxb*nyb, func(t int) { //cardopc:allow noalloc one fan-out closure per transpose, pinned by BenchmarkForward2's allocs/op
+		x0, y0 := t/nyb*transposeBlock, t%nyb*transposeBlock
+		x1, y1 := min(x0+transposeBlock, w), min(y0+transposeBlock, h)
+		for x := x0; x < x1; x++ {
+			d := x * dst.W
+			for y := y0; y < y1; y++ {
+				dst.Data[d+y] = src.Data[y*src.W+x]
 			}
 		}
 	})
@@ -287,11 +285,11 @@ func transform2(g *Grid2, inverse bool) {
 		transform(g.Data[y*g.W:(y+1)*g.W], inverse)
 	})
 	t := GetGrid(g.H, g.W)
-	transposeInto(t, g)
+	transposeInto(t, g, g.W, g.H)
 	parallelRows(t.H, func(y int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by BenchmarkForward2's allocs/op
 		transform(t.Data[y*t.W:(y+1)*t.W], inverse)
 	})
-	transposeInto(g, t)
+	transposeInto(g, t, t.W, t.H)
 	PutGrid(t)
 }
 

@@ -14,8 +14,14 @@ import (
 // an O(W) unpack splits the two Hermitian row spectra), and the column
 // pass only touches the W/2+1 stored columns. Compared to loading the
 // real field into a complex grid and running Forward2, the FFT work
-// halves; ExpandHalfInto mirrors the half-spectrum into a full grid for
-// consumers (the SOCS kernel sweep) whose kernels are not Hermitian.
+// halves. Both transforms also take a band half-width k: the forward
+// computes only the stored columns 0…k and the inverse reads only those,
+// so a consumer whose spectrum is band-limited (the SOCS kernel sweep
+// reads the mask spectrum over |kx| ≤ k) skips the other column
+// transforms and their transposes. Every kept column goes through the
+// same arithmetic as at the full band k = W/2, so it is bit-identical to
+// it. ExpandHalfInto mirrors a full-band half-spectrum into a full grid
+// for consumers that want every bin.
 
 // Half2 is the half-spectrum of a real FullW×H field: H rows of
 // FullW/2+1 non-redundant columns, stored row-major in the embedded
@@ -67,15 +73,16 @@ func (hs *Half2) Release() {
 }
 
 // RealForward2Into computes the forward 2-D DFT of the real w×h field
-// src (row-major, w = hs.FullW, h = hs.H) into the half-spectrum hs,
-// fully overwriting it. Dimensions must be powers of two. The result
-// matches Forward2 of the complex-loaded field on the stored columns
-// exactly in layout: hs row ky column kx holds F[ky][kx] for
-// kx ≤ w/2; the remaining columns follow from Hermitian symmetry
-// (ExpandHalfInto reconstructs them).
+// src (row-major, w = hs.FullW, h = hs.H) into the stored columns 0…k of
+// the half-spectrum hs, 0 ≤ k ≤ w/2; columns above k are left with
+// unspecified contents. Dimensions must be powers of two. hs row ky
+// column kx holds F[ky][kx] of Forward2 of the complex-loaded field, for
+// kx ≤ k; at k = w/2 that is every stored column, and the remaining
+// columns follow from Hermitian symmetry (ExpandHalfInto reconstructs
+// them). A column kx ≤ k holds the same bits at every band that keeps it.
 //
 //cardopc:noalloc
-func RealForward2Into(hs *Half2, src []float64) {
+func RealForward2Into(hs *Half2, src []float64, k int) {
 	obs.C("fft.rforward2").Inc()
 	w, h := hs.FullW, hs.Grid2.H
 	if len(src) != w*h {
@@ -84,83 +91,89 @@ func RealForward2Into(hs *Half2, src []float64) {
 	if !IsPow2(w) || !IsPow2(h) {
 		panic(fmt.Sprintf("fft: real transform dims %dx%d are not powers of two", w, h))
 	}
+	checkBand(k, w)
 	hw := HalfW(w)
 
 	if h == 1 {
 		// A single row cannot pair: run one complex transform over the
-		// real-loaded row and keep the non-redundant bins.
+		// real-loaded row and keep the bins up to k.
 		zg := GetGrid(w, 1)
 		for i, v := range src {
 			zg.Data[i] = complex(v, 0)
 		}
 		transform(zg.Data, false)
-		copy(hs.Data, zg.Data[:hw])
+		copy(hs.Data[:k+1], zg.Data)
 		PutGrid(zg)
 		return
 	}
 
 	// Row pass: pack rows (2p, 2p+1) into one complex row, transform,
-	// and unpack the two Hermitian row spectra:
-	//   A[k] = (Z[k] + conj(Z[(w−k)%w])) / 2
-	//   B[k] = (Z[k] − conj(Z[(w−k)%w])) / 2i
-	// The (w−k)%w indexing makes DC (k=0) and the Nyquist bin (k=w/2)
+	// and unpack the two Hermitian row spectra up to bin k:
+	//   A[j] = (Z[j] + conj(Z[(w−j)%w])) / 2
+	//   B[j] = (Z[j] − conj(Z[(w−j)%w])) / 2i
+	// The (w−j)%w indexing makes DC (j=0) and the Nyquist bin (j=w/2)
 	// their own partners, so both fall out of the same formula.
 	zg := GetGrid(w, h/2)
 	parallelRows(h/2, func(p int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
 		z := zg.Data[p*w : (p+1)*w]
 		a := src[(2*p)*w : (2*p+1)*w]
 		b := src[(2*p+1)*w : (2*p+2)*w]
-		for k := 0; k < w; k++ {
-			z[k] = complex(a[k], b[k])
+		for j := 0; j < w; j++ {
+			z[j] = complex(a[j], b[j])
 		}
 		transform(z, false)
-		ra := hs.Data[(2*p)*hw : (2*p)*hw+hw]
-		rb := hs.Data[(2*p+1)*hw : (2*p+1)*hw+hw]
-		for k := 0; k < hw; k++ {
-			zk := z[k]
-			zc := z[(w-k)%w]
+		ra := hs.Data[(2*p)*hw : (2*p)*hw+k+1]
+		rb := hs.Data[(2*p+1)*hw : (2*p+1)*hw+k+1]
+		for j := range ra {
+			zj := z[j]
+			zc := z[(w-j)%w]
 			cc := complex(real(zc), -imag(zc))
-			ra[k] = (zk + cc) * 0.5
-			d := zk - cc
+			ra[j] = (zj + cc) * 0.5
+			d := zj - cc
 			// d / 2i = −0.5i·d
-			rb[k] = complex(imag(d)*0.5, -real(d)*0.5)
+			rb[j] = complex(imag(d)*0.5, -real(d)*0.5)
 		}
 	})
 	PutGrid(zg)
 
-	// Column pass over the hw stored columns, via the blocked transpose
+	// Column pass over the stored columns 0…k, via the blocked transpose
 	// so each length-h transform walks contiguous memory.
-	ct := GetGrid(h, hw)
-	transposeInto(ct, &hs.Grid2)
-	parallelRows(hw, func(x int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
+	ct := GetGrid(h, k+1)
+	transposeInto(ct, &hs.Grid2, k+1, h)
+	parallelRows(k+1, func(x int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
 		transform(ct.Data[x*h:(x+1)*h], false)
 	})
-	transposeInto(&hs.Grid2, ct)
+	transposeInto(&hs.Grid2, ct, h, k+1)
 	PutGrid(ct)
 }
 
 // RealInverse2Into computes the inverse 2-D DFT of the half-spectrum hs
 // into the real field dst (len w·h), including the 1/(w·h)
-// normalisation. Like Inverse2, the transform is destructive: hs is
+// normalisation. It reads only the stored columns 0…k, 0 ≤ k ≤ w/2, and
+// treats the columns above k as zero; at k = w/2 that is the whole
+// half-spectrum. Like Inverse2, the transform is destructive: hs is
 // consumed as in-place scratch and holds unspecified contents
 // afterwards. hs must be the (possibly processed, still Hermitian in
 // its implied full form) spectrum of a real field — the reconstruction
 // discards nothing, so a non-Hermitian spectrum would fold its
-// imaginary part into the neighbouring row.
+// imaginary part into the neighbouring row. A skipped column is zero
+// either way, so the result is bit-identical to the full-band inverse of
+// the same spectrum with its columns above k cleared.
 //
 //cardopc:noalloc
-func RealInverse2Into(dst []float64, hs *Half2) {
+func RealInverse2Into(dst []float64, hs *Half2, k int) {
 	obs.C("fft.rinverse2").Inc()
 	w, h := hs.FullW, hs.Grid2.H
 	if len(dst) != w*h {
 		panic(fmt.Sprintf("fft: %d-px real field for a %dx%d half-spectrum", len(dst), w, h))
 	}
+	checkBand(k, w)
 	hw := HalfW(w)
 	inv := 1 / float64(w*h)
 
 	if h == 1 {
 		zg := GetGrid(w, 1)
-		hermitianExtendRow(zg.Data[:w], hs.Data[:hw], w)
+		hermitianExtendRow(zg.Data, hs.Data[:hw], k)
 		transform(zg.Data, true)
 		for i := range dst {
 			dst[i] = real(zg.Data[i]) * inv
@@ -171,52 +184,67 @@ func RealInverse2Into(dst []float64, hs *Half2) {
 
 	// Column pass first (unnormalised; the 1/(w·h) factor is applied in
 	// the final write-out).
-	ct := GetGrid(h, hw)
-	transposeInto(ct, &hs.Grid2)
-	parallelRows(hw, func(x int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
+	ct := GetGrid(h, k+1)
+	transposeInto(ct, &hs.Grid2, k+1, h)
+	parallelRows(k+1, func(x int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
 		transform(ct.Data[x*h:(x+1)*h], true)
 	})
-	transposeInto(&hs.Grid2, ct)
+	transposeInto(&hs.Grid2, ct, h, k+1)
 	PutGrid(ct)
 
 	// Row pass: after the column inverse each spatial row is Hermitian
 	// in kx, so rows (2p, 2p+1) reconstruct from one complex inverse of
-	// Z[k] = A[k] + i·B[k] — the exact inverse of the forward packing.
+	// Z[j] = A[j] + i·B[j] — the exact inverse of the forward packing.
 	zg := GetGrid(w, h/2)
 	parallelRows(h/2, func(p int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
 		z := zg.Data[p*w : (p+1)*w]
 		ra := hs.Data[(2*p)*hw : (2*p)*hw+hw]
 		rb := hs.Data[(2*p+1)*hw : (2*p+1)*hw+hw]
-		for k := 0; k < w; k++ {
+		for j := 0; j < w; j++ {
 			var a, b complex128
-			if k < hw {
-				a, b = ra[k], rb[k]
-			} else {
-				ac, bc := ra[w-k], rb[w-k]
+			if j <= k {
+				a, b = ra[j], rb[j]
+			} else if j >= w-k {
+				ac, bc := ra[w-j], rb[w-j]
 				a = complex(real(ac), -imag(ac))
 				b = complex(real(bc), -imag(bc))
 			}
-			// a + i·b
-			z[k] = complex(real(a)-imag(b), imag(a)+real(b))
+			// a + i·b, zero between the two bands
+			z[j] = complex(real(a)-imag(b), imag(a)+real(b))
 		}
 		transform(z, true)
 		da := dst[(2*p)*w : (2*p+1)*w]
 		db := dst[(2*p+1)*w : (2*p+2)*w]
-		for k, v := range z {
-			da[k] = real(v) * inv
-			db[k] = imag(v) * inv
+		for j, v := range z {
+			da[j] = real(v) * inv
+			db[j] = imag(v) * inv
 		}
 	})
 	PutGrid(zg)
 }
 
+// checkBand panics unless k is a band half-width of a w-wide field.
+func checkBand(k, w int) {
+	if k < 0 || k > w/2 {
+		panic(fmt.Sprintf("fft: band half-width %d outside [0, %d]", k, w/2))
+	}
+}
+
 // hermitianExtendRow fills the full-width row z from its half-spectrum
-// half: z[k] = half[k] for k < len(half), conj(half[w−k]) above.
-func hermitianExtendRow(z []complex128, half []complex128, w int) {
-	copy(z, half)
-	for k := len(half); k < w; k++ {
-		v := half[w-k]
-		z[k] = complex(real(v), -imag(v))
+// half up to bin k: z[j] = half[j] for j ≤ k, conj(half[w−j]) for
+// j ≥ w−k, zero between.
+func hermitianExtendRow(z []complex128, half []complex128, k int) {
+	w := len(z)
+	for j := range z {
+		switch {
+		case j <= k:
+			z[j] = half[j]
+		case j >= w-k:
+			v := half[w-j]
+			z[j] = complex(real(v), -imag(v))
+		default:
+			z[j] = 0
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func TestRealForward2MatchesForward2(t *testing.T) {
 		src := randReal(r, w*h)
 		want := complexForward2(src, w, h)
 		hs := NewHalf2(w, h)
-		RealForward2Into(hs, src)
+		RealForward2Into(hs, src, w/2)
 		got := NewGrid2(w, h)
 		ExpandHalfInto(got, hs)
 		if e := maxErr(got.Data, want.Data); e > 1e-9*float64(w*h) {
@@ -65,7 +65,7 @@ func TestRealForward2NyquistContent(t *testing.T) {
 		}
 		want := complexForward2(src, w, h)
 		hs := NewHalf2(w, h)
-		RealForward2Into(hs, src)
+		RealForward2Into(hs, src, w/2)
 		got := NewGrid2(w, h)
 		ExpandHalfInto(got, hs)
 		if e := maxErr(got.Data, want.Data); e > 1e-9*float64(w*h) {
@@ -88,7 +88,7 @@ func TestRealForward2Property(t *testing.T) {
 		src := randReal(r, w*h)
 		want := complexForward2(src, w, h)
 		hs := NewHalf2(w, h)
-		RealForward2Into(hs, src)
+		RealForward2Into(hs, src, w/2)
 		got := NewGrid2(w, h)
 		ExpandHalfInto(got, hs)
 		return maxErr(got.Data, want.Data) < 1e-9*float64(w*h)
@@ -104,9 +104,9 @@ func TestRealRoundTrip(t *testing.T) {
 		w, h := dims[0], dims[1]
 		src := randReal(r, w*h)
 		hs := NewHalf2(w, h)
-		RealForward2Into(hs, src)
+		RealForward2Into(hs, src, w/2)
 		back := make([]float64, w*h)
-		RealInverse2Into(back, hs)
+		RealInverse2Into(back, hs, w/2)
 		for i := range src {
 			if math.Abs(src[i]-back[i]) > 1e-10 {
 				t.Errorf("%dx%d: round trip err %v at %d", w, h, src[i]-back[i], i)
@@ -131,12 +131,12 @@ func TestRealInverse2MatchesInverse2(t *testing.T) {
 	Inverse2(full)
 
 	hs := NewHalf2(w, h)
-	RealForward2Into(hs, src)
+	RealForward2Into(hs, src, w/2)
 	for i := range hs.Data {
 		hs.Data[i] *= 0.5
 	}
 	got := make([]float64, w*h)
-	RealInverse2Into(got, hs)
+	RealInverse2Into(got, hs, w/2)
 	for i := range got {
 		if math.Abs(got[i]-real(full.Data[i])) > 1e-10 {
 			t.Fatalf("inverse mismatch at %d: %v vs %v", i, got[i], real(full.Data[i]))
@@ -152,7 +152,7 @@ func TestExpandHalfIsHermitian(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	const w, h = 16, 16
 	hs := NewHalf2(w, h)
-	RealForward2Into(hs, randReal(r, w*h))
+	RealForward2Into(hs, randReal(r, w*h), w/2)
 	g := NewGrid2(w, h)
 	ExpandHalfInto(g, hs)
 	for ky := 0; ky < h; ky++ {
@@ -191,25 +191,93 @@ func BenchmarkRealForward2_256(b *testing.B) {
 	hs := NewHalf2(256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RealForward2Into(hs, src)
+		RealForward2Into(hs, src, 128)
 	}
 }
 
 func TestRealForward2PanicsOnBadDims(t *testing.T) {
 	for _, tc := range []struct {
-		w, h, srcLen int
+		w, h, srcLen, k int
 	}{
-		{6, 4, 24}, // non-pow2 width
-		{8, 8, 32}, // wrong source length
+		{6, 4, 24, 3}, // non-pow2 width
+		{8, 8, 32, 4}, // wrong source length
+		{8, 8, 64, 5}, // band wider than the half-spectrum
+		{8, 8, 64, -1},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("RealForward2Into(%dx%d, %d px) did not panic", tc.w, tc.h, tc.srcLen)
+					t.Errorf("RealForward2Into(%dx%d, %d px, band %d) did not panic", tc.w, tc.h, tc.srcLen, tc.k)
 				}
 			}()
 			hs := &Half2{FullW: tc.w, Grid2: Grid2{W: HalfW(tc.w), H: tc.h, Data: make([]complex128, HalfW(tc.w)*tc.h)}}
-			RealForward2Into(hs, make([]float64, tc.srcLen))
+			RealForward2Into(hs, make([]float64, tc.srcLen), tc.k)
 		}()
+	}
+}
+
+// bandSizes are the real-field dimensions the band tests sweep: square
+// rasters up to the default 512 px, one single-row field (the unpaired
+// path) and one rectangular field.
+var bandSizes = [][2]int{{2, 2}, {16, 16}, {64, 64}, {512, 512}, {16, 1}, {64, 8}}
+
+// bands returns the band half-widths the band tests pin for width w:
+// the DC column alone, one more, and the top two (n/2 is the full band).
+func bands(w int) []int {
+	return []int{0, min(1, w/2), max(w/2-1, 0), w / 2}
+}
+
+func TestRealForward2BandMatchesFullBand(t *testing.T) {
+	// A band-k transform keeps columns 0…k of the full-band transform bit
+	// for bit: the columns it computes go through the same arithmetic,
+	// and nothing it computes depends on a column it skips.
+	r := rand.New(rand.NewSource(15))
+	for _, dims := range bandSizes {
+		w, h := dims[0], dims[1]
+		src := randReal(r, w*h)
+		full := NewHalf2(w, h)
+		RealForward2Into(full, src, w/2)
+		for _, k := range bands(w) {
+			hs := NewHalf2(w, h)
+			RealForward2Into(hs, src, k)
+			for ky := 0; ky < h; ky++ {
+				for kx := 0; kx <= k; kx++ {
+					if got, want := hs.At(kx, ky), full.At(kx, ky); got != want {
+						t.Fatalf("%dx%d band %d: bin (%d,%d) = %v, full band %v", w, h, k, kx, ky, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRealInverse2BandMatchesFullBand(t *testing.T) {
+	// A band-k inverse equals the full-band inverse of the same spectrum
+	// with its columns above k zeroed, bit for bit. The skipped columns
+	// hold NaN, so reading any of them would show.
+	r := rand.New(rand.NewSource(16))
+	for _, dims := range bandSizes {
+		w, h := dims[0], dims[1]
+		spec := NewHalf2(w, h)
+		RealForward2Into(spec, randReal(r, w*h), w/2)
+		for _, k := range bands(w) {
+			zeroed := NewHalf2(w, h)
+			banded := NewHalf2(w, h)
+			for i, v := range spec.Data {
+				zeroed.Data[i], banded.Data[i] = v, v
+				if i%spec.Grid2.W > k {
+					zeroed.Data[i], banded.Data[i] = 0, complex(math.NaN(), math.NaN())
+				}
+			}
+			want := make([]float64, w*h)
+			RealInverse2Into(want, zeroed, w/2)
+			got := make([]float64, w*h)
+			RealInverse2Into(got, banded, k)
+			for i := range want {
+				if got[i] != want[i] || math.Signbit(got[i]) != math.Signbit(want[i]) {
+					t.Fatalf("%dx%d band %d: pixel %d = %v, full band %v", w, h, k, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

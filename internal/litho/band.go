@@ -1,9 +1,12 @@
 package litho
 
 import (
+	"fmt"
 	"math"
 
 	"cardopc/internal/fft"
+	"cardopc/internal/obs"
+	"cardopc/internal/raster"
 )
 
 // Band-limited SOCS imaging. Kernel k is a pupil of radius R = NA/λ·n·pitch
@@ -91,20 +94,80 @@ func (bd band) kernel(pp pupil, sx, sy float64) *kernel {
 	return k
 }
 
-// spectrumInto writes maskFreq·H_k over kernel k's box into the m×m grid
-// g (fully overwritten), shifted so that bin d_k lands on bin 0.
+// The union box is the sweep's one mask-spectrum layout: a u×u grid whose
+// row iy, column ix holds the mask spectrum at signed bins
+// (ulo+ix, ulo+iy), wrapped onto the raster. Every kernel box lies inside
+// it, so it is all of the spectrum a sweep reads and all of the adjoint
+// spectrum one writes, and the raster transforms compute only the
+// half-spectrum columns 0…−ulo it covers.
+
+// maskBoxInto writes mask's spectrum over the union box into box (u×u,
+// fully overwritten). The mask transform runs at band −ulo, the widest
+// |kx| the box holds, and the box is filled by ExpandHalfInto's rule, so
+// every box bin equals MaskFreqInto's bin bit for bit.
 //
 //cardopc:noalloc
-func (bd band) spectrumInto(g *fft.Grid2, maskFreq *fft.Grid2, k *kernel) {
+func (bd band) maskBoxInto(box *fft.Grid2, mask *raster.Field) {
+	defer obs.Start("litho.mask_freq").End()
+	if mask.Size != bd.n {
+		panic(fmt.Sprintf("litho: %d px mask for a %d px imager", mask.Size, bd.n))
+	}
+	hs := fft.GetHalf(bd.n, bd.n)
+	fft.RealForward2Into(hs, mask.Data, -bd.ulo)
+	n, u, hw := bd.n, bd.u, hs.W
+	for iy := 0; iy < u; iy++ {
+		fy := bd.ulo + iy
+		row := box.Data[iy*u:][:u]
+		src := hs.Data[(fy&(n-1))*hw:][:hw]
+		mirror := hs.Data[(-fy&(n-1))*hw:][:hw]
+		for ix := range row {
+			fx := bd.ulo + ix
+			// A stored column up to the Nyquist column n/2; the
+			// conjugate of the (−fx, −fy) partner beyond it.
+			if kx := fx & (n - 1); kx <= n/2 {
+				row[ix] = src[kx]
+			} else {
+				v := mirror[n-kx]
+				row[ix] = complex(real(v), -imag(v))
+			}
+		}
+	}
+	hs.Release()
+}
+
+// freqBoxInto copies the union box of the full n×n mask spectrum
+// maskFreq into box (u×u, fully overwritten).
+//
+//cardopc:noalloc
+func (bd band) freqBoxInto(box *fft.Grid2, maskFreq *fft.Grid2) {
+	n, u := bd.n, bd.u
+	if maskFreq.W != n || maskFreq.H != n {
+		panic(fmt.Sprintf("litho: %dx%d spectrum for a %d px imager", maskFreq.W, maskFreq.H, n))
+	}
+	for iy := 0; iy < u; iy++ {
+		src := maskFreq.Data[((bd.ulo+iy)&(n-1))*n:][:n]
+		row := box.Data[iy*u:][:u]
+		for ix := range row {
+			row[ix] = src[(bd.ulo+ix)&(n-1)]
+		}
+	}
+}
+
+// spectrumInto writes maskFreq·H_k over kernel k's box into the m×m grid
+// g (fully overwritten), shifted so that bin d_k lands on bin 0. box is
+// the mask spectrum over the union box.
+//
+//cardopc:noalloc
+func (bd band) spectrumInto(g *fft.Grid2, box []complex128, k *kernel) {
 	clear(g.Data)
-	n, m, b := bd.n, bd.m, bd.b
+	n, m, b, u := bd.n, bd.m, bd.b, bd.u
 	for i := 0; i < b; i++ {
 		off := bd.lo + i
-		src := maskFreq.Data[((k.dy+off)&(n-1))*n:][:n]
+		src := box[((k.dy+off-bd.ulo)&(n-1))*u:][:u]
 		dst := g.Data[(off&(m-1))*m:][:m]
 		for j, h := range k.box[i*b : (i+1)*b] {
 			off := bd.lo + j
-			dst[off&(m-1)] = src[(k.dx+off)&(n-1)] * h
+			dst[off&(m-1)] = src[(k.dx+off-bd.ulo)&(n-1)] * h
 		}
 	}
 }
@@ -117,14 +180,18 @@ func (bd band) spectrumInto(g *fft.Grid2, maskFreq *fft.Grid2, k *kernel) {
 // two grids' transform scales, so the m×m samples are the low-passed
 // raster field's values. Upwards it is the inverse ratio (n/m)² times the
 // (m/n)⁴ by which the raster |A_k|² is smaller than the m-grid |a_k|², so
-// the sum of w_k|a_k|² comes out as the raster intensity.
+// the sum of w_k|a_k|² comes out as the raster intensity. Both transforms
+// run at band w, so only columns 0…w of either half-spectrum are
+// computed, cleared or read.
 //
 //cardopc:noalloc
 func (bd band) resampleInto(dst []float64, d int, src []float64, s, w int) {
 	hs := fft.GetHalf(s, s)
-	fft.RealForward2Into(hs, src)
+	fft.RealForward2Into(hs, src, w)
 	hd := fft.GetHalf(d, d)
-	clear(hd.Data)
+	for ky := 0; ky < d; ky++ {
+		clear(hd.Data[ky*hd.W:][:w+1])
+	}
 	scale := float64(bd.m*bd.m) / float64(bd.n*bd.n)
 	for off := -w; off <= w; off++ {
 		row := hd.Data[(off&(d-1))*hd.W:][:w+1]
@@ -133,7 +200,7 @@ func (bd band) resampleInto(dst []float64, d int, src []float64, s, w int) {
 		}
 	}
 	hs.Release()
-	fft.RealInverse2Into(dst, hd)
+	fft.RealInverse2Into(dst, hd, w)
 	hd.Release()
 }
 
@@ -158,15 +225,18 @@ func (bd band) correlateInto(acc []complex128, p *fft.Grid2, k *kernel, wk float
 
 // realInverseInto writes Re[IFFT(S)] into dst (n², fully overwritten) for
 // the union-box spectrum S (u×u): the Hermitian part
-// (S(f) + conj S(−f))/2 goes into a zeroed half-spectrum and through one
-// real inverse transform.
+// (S(f) + conj S(−f))/2 goes into columns 0…−ulo of a half-spectrum, the
+// rest of those columns zero, and through one real inverse transform at
+// that band.
 //
 //cardopc:noalloc
 func (bd band) realInverseInto(dst []float64, S []complex128) {
-	n, u := bd.n, bd.u
+	n, u, k := bd.n, bd.u, -bd.ulo
 	hn := fft.GetHalf(n, n)
-	clear(hn.Data)
-	hwn := fft.HalfW(n)
+	hwn := hn.W
+	for ky := 0; ky < n; ky++ {
+		clear(hn.Data[ky*hwn:][:k+1])
+	}
 	for iy := 0; iy < u; iy++ {
 		fy := iy + bd.ulo
 		ky, py := fy&(n-1), (-fy-bd.ulo)&(n-1)
@@ -181,6 +251,6 @@ func (bd band) realInverseInto(dst []float64, S []complex128) {
 			hn.Data[ky*hwn+kx] = complex(real(v)*0.5, imag(v)*0.5)
 		}
 	}
-	fft.RealInverse2Into(dst, hn)
+	fft.RealInverse2Into(dst, hn, k)
 	hn.Release()
 }

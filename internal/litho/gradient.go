@@ -60,18 +60,14 @@ func (c *ForwardCache) Release() {
 //cardopc:noalloc
 func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, mask *raster.Field) *raster.Field {
 	defer obs.Start("litho.aerial_cached").End()
-	n := s.cfg.GridSize
 	if cache.sim != s {
 		panic("litho: ForwardCache used with a different simulator")
 	}
-	if mask.Size != n {
-		panic(fmt.Sprintf("litho: %d px mask for a %d px imager", mask.Size, n))
-	}
-	mf := fft.GetGrid(n, n)
-	MaskFreqInto(mf, mask)
+	box := fft.GetGrid(s.band.u, s.band.u)
+	s.band.maskBoxInto(box, mask)
 	cache.ensure(s.band.m)
-	s.sweep(out, mf, cache.amps)
-	fft.PutGrid(mf)
+	s.sweep(out, box, cache.amps)
+	fft.PutGrid(box)
 	scaleDose(out.Data, s.cfg.Dose)
 	return out
 }

@@ -224,10 +224,13 @@ func freqOf(k, n int, df float64) float64 {
 // one mask should compute this once and reuse it.
 //
 // The mask is purely real, so the spectrum is computed by the
-// real-input transform (half the FFT work of loading a complex grid)
-// into a pooled half-spectrum and mirrored into g — the SOCS kernels
-// are shifted pupils, not Hermitian, so the kernel sweep downstream
-// reads bins on both sides of the frequency origin.
+// full-band real-input transform (half the FFT work of loading a complex
+// grid) into a pooled half-spectrum and mirrored into g. The imaging
+// calls that start from a mask (AerialInto, AerialWithCacheInto,
+// Process.AerialAll) do not come through here: the kernel sweep reads
+// only the union box of the spectrum, so they transform at that box's
+// band and fill the box by the same mirroring rule, bin for bin equal to
+// this spectrum's.
 //
 //cardopc:noalloc
 func MaskFreqInto(g *fft.Grid2, mask *raster.Field) *fft.Grid2 {
@@ -236,7 +239,7 @@ func MaskFreqInto(g *fft.Grid2, mask *raster.Field) *fft.Grid2 {
 		panic(fmt.Sprintf("litho: %dx%d spectrum grid for a %d px mask", g.W, g.H, mask.Size))
 	}
 	hs := fft.GetHalf(mask.Size, mask.Size)
-	fft.RealForward2Into(hs, mask.Data)
+	fft.RealForward2Into(hs, mask.Data, mask.Size/2)
 	fft.ExpandHalfInto(g, hs)
 	hs.Release()
 	return g
@@ -249,14 +252,14 @@ func (s *Simulator) Aerial(mask *raster.Field) *raster.Field {
 
 // AerialInto is Aerial writing into out, with the mask spectrum held in
 // pooled scratch — the allocation-free steady-state path of the
-// correction loop.
+// correction loop. Only the union box of the spectrum is computed.
 //
 //cardopc:noalloc
 func (s *Simulator) AerialInto(out *raster.Field, mask *raster.Field) *raster.Field {
-	mf := fft.GetGrid(mask.Size, mask.Size)
-	MaskFreqInto(mf, mask)
-	s.AerialFromFreqInto(out, mf)
-	fft.PutGrid(mf)
+	box := fft.GetGrid(s.band.u, s.band.u)
+	s.band.maskBoxInto(box, mask)
+	s.aerialBoxInto(out, box)
+	fft.PutGrid(box)
 	return out
 }
 
@@ -266,36 +269,48 @@ func (s *Simulator) AerialFromFreq(maskFreq *fft.Grid2) *raster.Field {
 }
 
 // AerialFromFreqInto computes the aerial image from a precomputed mask
-// spectrum into out (fully overwritten): one kernel sweep, then the dose
-// scale.
+// spectrum into out (fully overwritten): the union box is copied out of
+// maskFreq, then one kernel sweep and the dose scale.
 //
 //cardopc:noalloc
 func (s *Simulator) AerialFromFreqInto(out *raster.Field, maskFreq *fft.Grid2) *raster.Field {
-	defer obs.Start("litho.aerial").End()
-	s.sweep(out, maskFreq, nil)
-	scaleDose(out.Data, s.cfg.Dose)
+	box := fft.GetGrid(s.band.u, s.band.u)
+	s.band.freqBoxInto(box, maskFreq)
+	s.aerialBoxInto(out, box)
+	fft.PutGrid(box)
 	return out
 }
 
-// sweep is the forward kernel sweep of Eq. 1 without the dose: it writes
-// Σ_k w_k |maskFreq ⊗ H_k|² into out (fully overwritten). Each kernel
-// touches only its support box: maskFreq·H_k over the box goes into an
-// m×m grid centred on bin 0, one inverse transform gives the band-shifted
-// field a_k, and w_k|a_k|² accumulates on the m×m grid; one zero-padded
-// transform brings the sum to the raster (band.go). When amps is non-nil,
-// kernel k's a_k lands in amps[k] (m×m) and is kept there for the
-// adjoint; otherwise it lives in worker scratch. Kernels are statically
-// assigned to workers drawing scratch from the fft workspace pool, and
-// the per-worker partial sums are reduced in worker order, so results are
-// bit-identical across runs regardless of scheduling.
+// aerialBoxInto computes the aerial image of the union-box mask spectrum
+// box into out (fully overwritten): one kernel sweep, then the dose scale.
 //
 //cardopc:noalloc
-func (s *Simulator) sweep(out *raster.Field, maskFreq *fft.Grid2, amps []*fft.Grid2) {
+func (s *Simulator) aerialBoxInto(out *raster.Field, box *fft.Grid2) {
+	defer obs.Start("litho.aerial").End()
+	s.sweep(out, box, nil)
+	scaleDose(out.Data, s.cfg.Dose)
+}
+
+// sweep is the forward kernel sweep of Eq. 1 without the dose: it writes
+// Σ_k w_k |maskFreq ⊗ H_k|² into out (fully overwritten), for the mask
+// spectrum over the union box in box. Each kernel touches only its
+// support box: maskFreq·H_k over the box goes into an m×m grid centred
+// on bin 0, one inverse transform gives the band-shifted field a_k, and
+// w_k|a_k|² accumulates on the m×m grid; one zero-padded transform brings
+// the sum to the raster (band.go). When amps is non-nil, kernel k's a_k
+// lands in amps[k] (m×m) and is kept there for the adjoint; otherwise it
+// lives in worker scratch. Kernels are statically assigned to workers
+// drawing scratch from the fft workspace pool, and the per-worker partial
+// sums are reduced in worker order, so results are bit-identical across
+// runs regardless of scheduling.
+//
+//cardopc:noalloc
+func (s *Simulator) sweep(out *raster.Field, box *fft.Grid2, amps []*fft.Grid2) {
 	obs.C("litho.aerial.count").Inc()
-	n, m := s.band.n, s.band.m
-	if out.Size != n || maskFreq.W != n || maskFreq.H != n {
-		panic(fmt.Sprintf("litho: aerial out %d px / spectrum %dx%d for a %d px imager",
-			out.Size, maskFreq.W, maskFreq.H, n))
+	n, m, u := s.band.n, s.band.m, s.band.u
+	if out.Size != n || box.W != u || box.H != u {
+		panic(fmt.Sprintf("litho: aerial out %d px / spectrum box %dx%d for a %d px imager with a %d-bin box",
+			out.Size, box.W, box.H, n, u))
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -315,7 +330,7 @@ func (s *Simulator) sweep(out *raster.Field, maskFreq *fft.Grid2, amps []*fft.Gr
 				if amps != nil {
 					a = amps[ki]
 				}
-				s.band.spectrumInto(a, maskFreq, s.kernels[ki])
+				s.band.spectrumInto(a, box.Data, s.kernels[ki])
 				fft.Inverse2(a)
 				wk := s.weights[ki]
 				for i, v := range a.Data {

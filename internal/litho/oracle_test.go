@@ -138,12 +138,33 @@ func TestBandLimitedMatchesDense(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			c.cfg(&cfg)
-			s := NewSimulator(cfg)
+			p := NewProcess(cfg, DefaultCorners())
+			s := p.Nominal
 			n := cfg.GridSize
 			mask := oracleMask(s.Grid())
 			mf := MaskFreqInto(fft.NewGrid2(n, n), mask)
 
 			got := s.AerialFromFreqInto(raster.NewField(s.Grid()), mf)
+			// The mask paths transform only the union box's band and
+			// fill the box themselves; they must equal the full-spectrum
+			// path bit for bit, every corner of AerialAll included.
+			direct := s.AerialInto(raster.NewField(s.Grid()), mask)
+			nom, inner, outer := p.AerialAll(mask)
+			for _, r := range []struct {
+				what      string
+				got, want []float64
+			}{
+				{"AerialInto", direct.Data, got.Data},
+				{"AerialAll nominal", nom.Data, got.Data},
+				{"AerialAll inner", inner.Data, p.Inner.AerialFromFreqInto(raster.NewField(s.Grid()), mf).Data},
+				{"AerialAll outer", outer.Data, p.Outer.AerialFromFreqInto(raster.NewField(s.Grid()), mf).Data},
+			} {
+				for i, v := range r.want {
+					if r.got[i] != v {
+						t.Fatalf("%s: pixel %d = %v, AerialFromFreqInto %v", r.what, i, r.got[i], v)
+					}
+				}
+			}
 			cache := s.NewForwardCache()
 			defer cache.Release()
 			cached := s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
@@ -161,6 +182,8 @@ func TestBandLimitedMatchesDense(t *testing.T) {
 				got, want []float64
 			}{
 				{"AerialFromFreqInto", got.Data, wantAerial},
+				{"AerialInto", direct.Data, wantAerial},
+				{"AerialAll nominal", nom.Data, wantAerial},
 				{"AerialWithCacheInto", cached.Data, wantAerial},
 				{"GradientFromCacheInto", grad, wantGrad},
 			} {

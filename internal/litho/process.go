@@ -94,23 +94,37 @@ func (p *Process) PrintedAll(mask *raster.Field) (nom, inner, outer *raster.Bina
 }
 
 // AerialAll returns the three corner aerial images, sharing one pooled
-// mask FFT.
+// mask transform computed over the union box only.
 func (p *Process) AerialAll(mask *raster.Field) (nom, inner, outer *raster.Field) {
-	mf := fft.GetGrid(mask.Size, mask.Size)
-	MaskFreqInto(mf, mask)
-	nom, inner, outer = p.AerialAllFromFreq(mf)
-	fft.PutGrid(mf)
+	bd := p.Nominal.band
+	box := fft.GetGrid(bd.u, bd.u)
+	bd.maskBoxInto(box, mask)
+	nom, inner, outer = p.aerialAllBox(box)
+	fft.PutGrid(box)
 	return nom, inner, outer
 }
 
-// AerialAllFromFreq is AerialAll over a precomputed mask spectrum. The
-// nominal kernel set is swept once: dose multiplies only after the sweep
-// (Eq. 1), so every corner sharing that set — the dose-only outer corner,
-// and the inner corner when it applies no defocus — is the sum times its
-// own dose. A corner with its own kernels (a defocused inner) sweeps them
-// concurrently. Each corner's result is bit-identical to its own
-// AerialFromFreqInto call.
+// AerialAllFromFreq is AerialAll over a precomputed mask spectrum, whose
+// union box is copied out once for every corner.
 func (p *Process) AerialAllFromFreq(mf *fft.Grid2) (nom, inner, outer *raster.Field) {
+	bd := p.Nominal.band
+	box := fft.GetGrid(bd.u, bd.u)
+	bd.freqBoxInto(box, mf)
+	nom, inner, outer = p.aerialAllBox(box)
+	fft.PutGrid(box)
+	return nom, inner, outer
+}
+
+// aerialAllBox images the three corners from the union-box mask spectrum
+// box. Corners differ from nominal only in dose and defocus, neither of
+// which moves a kernel box, so they share the nominal band and its box.
+// The nominal kernel set is swept once: dose multiplies only after the
+// sweep (Eq. 1), so every corner sharing that set — the dose-only outer
+// corner, and the inner corner when it applies no defocus — is the sum
+// times its own dose. A corner with its own kernels (a defocused inner)
+// sweeps them concurrently. Each corner's result is bit-identical to its
+// own AerialFromFreqInto call.
+func (p *Process) aerialAllBox(box *fft.Grid2) (nom, inner, outer *raster.Field) {
 	nom = raster.NewField(p.Nominal.grid)
 	inner = raster.NewField(p.Inner.grid)
 	outer = raster.NewField(p.Outer.grid)
@@ -124,12 +138,12 @@ func (p *Process) AerialAllFromFreq(mf *fft.Grid2) (nom, inner, outer *raster.Fi
 			wg.Add(1)
 			go func(sim *Simulator, out *raster.Field) {
 				defer wg.Done()
-				sim.AerialFromFreqInto(out, mf)
+				sim.aerialBoxInto(out, box)
 			}(c.sim, c.out)
 		}
 	}
 	sp := obs.Start("litho.aerial")
-	p.Nominal.sweep(nom, mf, nil)
+	p.Nominal.sweep(nom, box, nil)
 	sp.End()
 	for _, c := range corners {
 		if sharesKernels(c.sim, p.Nominal) {

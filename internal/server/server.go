@@ -242,9 +242,25 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// maxSpecBytes caps a job-spec request body. The largest built-in clip
+// or Table III tile is about 1.4 KB as an inline spec, so the cap leaves
+// room for large inline layouts while bounding what one request can make
+// the daemon buffer.
+const maxSpecBytes = 8 << 20
+
+// handleSubmit decodes a job spec strictly: an unknown field (a typo such
+// as "iter" for "iters" would otherwise silently run the defaults) is a
+// 400 naming it, and a body over maxSpecBytes is a 413.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Error: fmt.Sprintf("job spec over %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad JSON: " + err.Error()})
 		return
 	}

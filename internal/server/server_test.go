@@ -239,13 +239,27 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: got %d, want 400", resp.StatusCode)
+	for _, c := range []struct {
+		name, body string
+		code       int
+		errHas     string
+	}{
+		{"bad JSON", "{not json", http.StatusBadRequest, "bad JSON"},
+		// "iter" is not "iters": strict decoding names the field rather
+		// than running the preset's iteration count.
+		{"unknown field", `{"case":"V1","iter":5}`, http.StatusBadRequest, `"iter"`},
+		{"oversized body", `{"case":"` + strings.Repeat("x", maxSpecBytes) + `"}`, http.StatusRequestEntityTooLarge, "bytes"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorJSON
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || !strings.Contains(body.Error, c.errHas) {
+			t.Errorf("%s: got %d %q, want %d naming %s", c.name, resp.StatusCode, body.Error, c.code, c.errHas)
+		}
 	}
 }
 
