@@ -28,9 +28,10 @@ test:
 # runtime guard, turning any double PutGrid / double Workspace.Release
 # into a panic, and tracking outstanding checkouts so the server's
 # cancellation tests can assert nothing leaked. The runtime complement
-# of the static poolcheck analyzer.
+# of the static poolcheck analyzer; litho and core are the packages
+# that draw the pooled scratch on the imaging hot path.
 test-pooldebug:
-	$(GO) test -tags cardopc_pooldebug ./internal/fft/ ./internal/server/
+	$(GO) test -tags cardopc_pooldebug ./internal/fft/ ./internal/server/ ./internal/litho/ ./internal/core/
 
 # go vet plus the repo's own analyzer suite over every package —
 # including the dataflow passes (poolcheck, noalloc, obsguard) and the

@@ -33,7 +33,8 @@ type Optimizer struct {
 
 	field   *raster.Field // mask raster scratch
 	holes   *raster.Field // hole-loop raster scratch, sized on the first mask with a hole
-	aerial  *raster.Field // aerial image scratch
+	aerial  *raster.Field // aerial image scratch, computed on rows only
+	rows    []bool        // raster rows the step's EPE probes read
 	smoothW []float64     // binomial smoothing weights for cfg.SmoothWindow
 
 	// scope attributes the loop's telemetry to the unit of work that
@@ -65,6 +66,7 @@ func NewOptimizerWithMask(sim *litho.Simulator, mask *Mask, targets []geom.Polyg
 		targets: targets,
 		field:   raster.NewField(sim.Grid()),
 		aerial:  raster.NewField(sim.Grid()),
+		rows:    make([]bool, sim.Grid().Size),
 	}
 	if cfg.SmoothWindow > 0 {
 		o.smoothW = binomialWeights(cfg.SmoothWindow)
@@ -125,12 +127,21 @@ func (o *Optimizer) Step(it int) float64 {
 	}
 	step := o.cfg.stepAt(it)
 
-	// ③ Connect control points and ④ simulate.
+	// ③ Connect control points and ④ simulate, on the rows ⑤ reads. The
+	// row set is rebuilt every step: it costs less than measuring the
+	// EPE, and probes may change between steps (AssignProbes, Reset).
 	rsp := o.scope.Start("opc.rasterize")
 	o.mask.rasterizeInto(o.field, o.holeScratch(), o.cfg.SamplesPerSeg, 4)
 	rsp.End()
-	aerial := o.sim.AerialInto(o.aerial, o.field)
-	ith := o.sim.Config().Threshold
+	cfg := metrics.EPEConfig{SearchNM: o.cfg.EPECap * 3, ThresholdNM: o.cfg.EPECap, Ith: o.sim.Config().Threshold}
+	clear(o.rows)
+	for _, s := range o.mask.Shapes {
+		if !s.SRAF {
+			s.ensureStepScratch(len(s.Ctrl))
+			metrics.MarkProbeRows(o.rows, o.sim.Grid(), s.probes, cfg)
+		}
+	}
+	aerial := o.sim.AerialInto(o.aerial, o.field, o.rows)
 
 	// ⑤ Estimate edge displacement per control point and move.
 	total := 0.0
@@ -140,7 +151,7 @@ func (o *Optimizer) Step(it int) float64 {
 		if s.SRAF {
 			continue
 		}
-		moves := o.shapeMoves(s, aerial, ith, step)
+		moves := o.shapeMoves(s, aerial, cfg, step)
 		smoothed := o.smoothMoves(s, moves)
 		for i := range s.Ctrl {
 			p, hit := clampDrift(s.Ctrl[i].Add(smoothed[i]), s.Anchor[i], o.cfg.MaxDrift)
@@ -180,16 +191,14 @@ func (o *Optimizer) Step(it int) float64 {
 // image); the move is -min(|e|,step)·sign(e) along the *current* spline
 // normal (paper Eq. 6 diagonal solver + Eq. 8 normal directions).
 // The move buffer and the EPE/damping state live on the Shape as
-// scratch (ensureStepScratch), so the steady-state loop allocates
-// nothing per iteration.
+// scratch, which Step sizes (ensureStepScratch) before it marks the
+// probe rows, so the steady-state loop allocates nothing per iteration.
 //
 //cardopc:noalloc
-func (o *Optimizer) shapeMoves(s *Shape, aerial *raster.Field, ith, step float64) []geom.Pt {
+func (o *Optimizer) shapeMoves(s *Shape, aerial *raster.Field, cfg metrics.EPEConfig, step float64) []geom.Pt {
 	n := len(s.Ctrl)
-	s.ensureStepScratch(n)
 	moves := s.moves
 	clear(moves)
-	cfg := metrics.EPEConfig{SearchNM: o.cfg.EPECap * 3, ThresholdNM: o.cfg.EPECap, Ith: ith}
 	res := metrics.MeasureEPE(aerial, s.probes, cfg)
 	for i := 0; i < n; i++ {
 		e := res.PerProbe[i]

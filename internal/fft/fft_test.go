@@ -236,16 +236,107 @@ func dft2(g *Grid2) *Grid2 {
 func TestForward2NonSquareMatchesDFT(t *testing.T) {
 	// Guards the blocked transpose on rectangular grids, where a wrong
 	// index mapping cannot cancel out the way it might on square ones.
+	// The sparse grids add rows of +0s, which the first pass skips, and a
+	// row of −0s, which it must transform; both directions are checked,
+	// the inverse against the conjugate DFT.
 	r := rand.New(rand.NewSource(7))
 	for _, dims := range [][2]int{{32, 16}, {16, 32}, {64, 4}, {8, 8}} {
-		g := NewGrid2(dims[0], dims[1])
-		for i := range g.Data {
-			g.Data[i] = complex(r.Float64()*2-1, r.Float64()*2-1)
+		for _, sparse := range []bool{false, true} {
+			g := NewGrid2(dims[0], dims[1])
+			for i := range g.Data {
+				g.Data[i] = complex(r.Float64()*2-1, r.Float64()*2-1)
+			}
+			if sparse {
+				zeroRows(g)
+			}
+			want := dft2(g)
+			back := g.Clone()
+			Forward2(g)
+			if e := maxErr(g.Data, want.Data); e > 1e-9*float64(dims[0]*dims[1]) {
+				t.Errorf("%dx%d sparse %v: max err = %v", dims[0], dims[1], sparse, e)
+			}
+			// Inverse2(x) = conj(DFT(conj x))/(W·H).
+			for i, v := range back.Data {
+				back.Data[i] = cmplx.Conj(v)
+			}
+			wantInv := dft2(back)
+			for i, v := range back.Data {
+				back.Data[i] = cmplx.Conj(v)
+			}
+			Inverse2(back)
+			for i, v := range wantInv.Data {
+				wantInv.Data[i] = cmplx.Conj(v) / complex(float64(dims[0]*dims[1]), 0)
+			}
+			if e := maxErr(back.Data, wantInv.Data); e > 1e-12 {
+				t.Errorf("%dx%d sparse %v: inverse max err = %v", dims[0], dims[1], sparse, e)
+			}
 		}
-		want := dft2(g)
-		Forward2(g)
-		if e := maxErr(g.Data, want.Data); e > 1e-9*float64(dims[0]*dims[1]) {
-			t.Errorf("%dx%d: max err = %v", dims[0], dims[1], e)
+	}
+}
+
+// zeroRows clears every row but the last of each group of three to +0,
+// sets row 1 to −0 and clears only the real parts of the last row: the
+// cases the zero-row skip must tell apart.
+func zeroRows(g *Grid2) {
+	for y := 0; y < g.H; y++ {
+		row := g.Data[y*g.W : (y+1)*g.W]
+		switch {
+		case y == 1:
+			for x := range row {
+				row[x] = complex(math.Copysign(0, -1), math.Copysign(0, -1))
+			}
+		case y == g.H-1:
+			for x, v := range row {
+				row[x] = complex(0, imag(v))
+			}
+		case y%3 != 2:
+			clear(row)
+		}
+	}
+}
+
+func TestTransformOfPositiveZerosIsPositiveZeros(t *testing.T) {
+	// The lemma behind every zero-row skip: a vector of +0s leaves each
+	// butterfly as +0s (a + b and a − b of +0 and ±0 are +0), in both
+	// directions and at every length.
+	for n := 1; n <= 4096; n *= 2 {
+		for _, inverse := range []bool{false, true} {
+			x := make([]complex128, n)
+			transform(x, inverse)
+			for i, v := range x {
+				if math.Float64bits(real(v))|math.Float64bits(imag(v)) != 0 {
+					t.Fatalf("n=%d inverse=%v: element %d = %v, want +0+0i", n, inverse, i, v)
+				}
+			}
+		}
+	}
+}
+
+func TestInverse2ReciprocalMatchesDivision(t *testing.T) {
+	// Inverse2 normalises by the exact power-of-two reciprocal of W·H;
+	// that equals the complex division on every value, subnormal results
+	// included (== leaves out only the sign of an exact zero).
+	r := rand.New(rand.NewSource(8))
+	for _, c := range []struct {
+		w, h  int
+		scale float64
+	}{{64, 64, 1e3}, {32, 16, 1}, {1, 8, 1}, {64, 64, 1e-312}} {
+		dims := [2]int{c.w, c.h}
+		g := NewGrid2(c.w, c.h)
+		for i := range g.Data {
+			g.Data[i] = complex(r.NormFloat64()*c.scale, r.NormFloat64()*c.scale)
+		}
+		want := g.Clone()
+		transform2(want, true)
+		n := complex(float64(dims[0]*dims[1]), 0)
+		for i := range want.Data {
+			want.Data[i] /= n
+		}
+		Inverse2(g)
+		for i, v := range g.Data {
+			if v != want.Data[i] {
+				t.Fatalf("%dx%d: element %d = %v, division gives %v", dims[0], dims[1], i, v, want.Data[i])
+			}
 		}
 	}
 }

@@ -20,8 +20,14 @@ import (
 // reads the mask spectrum over |kx| ≤ k) skips the other column
 // transforms and their transposes. Every kept column goes through the
 // same arithmetic as at the full band k = W/2, so it is bit-identical to
-// it. ExpandHalfInto mirrors a full-band half-spectrum into a full grid
-// for consumers that want every bin.
+// it. Two row prunings keep that guarantee. The forward skips the
+// transform of a packed row pair whose two rows are all +0, since the
+// transform of +0s is +0s; a mask raster is mostly such rows. The
+// inverse takes an optional row set and runs its row pass only on the
+// pairs that hold a selected row, so a consumer that samples a few rows
+// of the field (the correction step's EPE probes) pays for those alone.
+// ExpandHalfInto mirrors a full-band half-spectrum into a full grid for
+// consumers that want every bin.
 
 // Half2 is the half-spectrum of a real FullW×H field: H rows of
 // FullW/2+1 non-redundant columns, stored row-major in the embedded
@@ -80,6 +86,8 @@ func (hs *Half2) Release() {
 // kx ≤ k; at k = w/2 that is every stored column, and the remaining
 // columns follow from Hermitian symmetry (ExpandHalfInto reconstructs
 // them). A column kx ≤ k holds the same bits at every band that keeps it.
+// A row pair whose pixels are all +0 skips its row transform and unpacks
+// zeros, which are the bits the transform would have produced.
 //
 //cardopc:noalloc
 func RealForward2Into(hs *Half2, src []float64, k int) {
@@ -112,16 +120,23 @@ func RealForward2Into(hs *Half2, src []float64, k int) {
 	//   A[j] = (Z[j] + conj(Z[(w−j)%w])) / 2
 	//   B[j] = (Z[j] − conj(Z[(w−j)%w])) / 2i
 	// The (w−j)%w indexing makes DC (j=0) and the Nyquist bin (j=w/2)
-	// their own partners, so both fall out of the same formula.
+	// their own partners, so both fall out of the same formula. A pair of
+	// +0 rows packs to +0s, which the transform leaves as they are, so
+	// clearing z gives the same unpacked bits, −0 imaginary parts of the
+	// odd row included.
 	zg := GetGrid(w, h/2)
 	parallelRows(h/2, func(p int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
 		z := zg.Data[p*w : (p+1)*w]
 		a := src[(2*p)*w : (2*p+1)*w]
 		b := src[(2*p+1)*w : (2*p+2)*w]
-		for j := 0; j < w; j++ {
-			z[j] = complex(a[j], b[j])
+		if allPosZero(a) && allPosZero(b) {
+			clear(z)
+		} else {
+			for j := 0; j < w; j++ {
+				z[j] = complex(a[j], b[j])
+			}
+			transform(z, false)
 		}
-		transform(z, false)
 		ra := hs.Data[(2*p)*hw : (2*p)*hw+k+1]
 		rb := hs.Data[(2*p+1)*hw : (2*p+1)*hw+k+1]
 		for j := range ra {
@@ -160,18 +175,30 @@ func RealForward2Into(hs *Half2, src []float64, k int) {
 // either way, so the result is bit-identical to the full-band inverse of
 // the same spectrum with its columns above k cleared.
 //
+// rows selects the rows of dst to compute: nil computes all of them,
+// otherwise len(rows) must be h. The final row pass, which produces
+// spatial rows 2p and 2p+1 together, then runs only on the pairs with
+// rows[2p] || rows[2p+1]; the rows of every other pair are left as they
+// were. Each row it does compute is bit-identical to the full inverse.
+//
 //cardopc:noalloc
-func RealInverse2Into(dst []float64, hs *Half2, k int) {
+func RealInverse2Into(dst []float64, hs *Half2, k int, rows []bool) {
 	obs.C("fft.rinverse2").Inc()
 	w, h := hs.FullW, hs.Grid2.H
 	if len(dst) != w*h {
 		panic(fmt.Sprintf("fft: %d-px real field for a %dx%d half-spectrum", len(dst), w, h))
+	}
+	if rows != nil && len(rows) != h {
+		panic(fmt.Sprintf("fft: %d-row set for a %d-row field", len(rows), h))
 	}
 	checkBand(k, w)
 	hw := HalfW(w)
 	inv := 1 / float64(w*h)
 
 	if h == 1 {
+		if rows != nil && !rows[0] {
+			return
+		}
 		zg := GetGrid(w, 1)
 		hermitianExtendRow(zg.Data, hs.Data[:hw], k)
 		transform(zg.Data, true)
@@ -197,6 +224,9 @@ func RealInverse2Into(dst []float64, hs *Half2, k int) {
 	// Z[j] = A[j] + i·B[j] — the exact inverse of the forward packing.
 	zg := GetGrid(w, h/2)
 	parallelRows(h/2, func(p int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
+		if rows != nil && !rows[2*p] && !rows[2*p+1] {
+			return
+		}
 		z := zg.Data[p*w : (p+1)*w]
 		ra := hs.Data[(2*p)*hw : (2*p)*hw+hw]
 		rb := hs.Data[(2*p+1)*hw : (2*p+1)*hw+hw]

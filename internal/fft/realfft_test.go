@@ -35,17 +35,41 @@ func complexForward2(src []float64, w, h int) *Grid2 {
 }
 
 func TestRealForward2MatchesForward2(t *testing.T) {
+	// Each size runs dense, then sparse (zeroRealRows): the dense call
+	// leaves its packed rows in the pooled scratch, so a skipped pair
+	// that did not clear its row would unpack them.
 	r := rand.New(rand.NewSource(11))
 	for _, dims := range realSizes {
 		w, h := dims[0], dims[1]
-		src := randReal(r, w*h)
-		want := complexForward2(src, w, h)
-		hs := NewHalf2(w, h)
-		RealForward2Into(hs, src, w/2)
-		got := NewGrid2(w, h)
-		ExpandHalfInto(got, hs)
-		if e := maxErr(got.Data, want.Data); e > 1e-9*float64(w*h) {
-			t.Errorf("%dx%d: max err vs Forward2 = %v", w, h, e)
+		for _, sparse := range []bool{false, true} {
+			src := randReal(r, w*h)
+			if sparse {
+				zeroRealRows(src, w, h)
+			}
+			want := complexForward2(src, w, h)
+			hs := NewHalf2(w, h)
+			RealForward2Into(hs, src, w/2)
+			got := NewGrid2(w, h)
+			ExpandHalfInto(got, hs)
+			if e := maxErr(got.Data, want.Data); e > 1e-9*float64(w*h) {
+				t.Errorf("%dx%d sparse %v: max err vs Forward2 = %v", w, h, sparse, e)
+			}
+		}
+	}
+}
+
+// zeroRealRows is zeroRows for a real w×h field: packed pairs with both
+// rows +0 (skipped), one row +0, and a row of −0 (transformed).
+func zeroRealRows(src []float64, w, h int) {
+	for y := 0; y < h; y++ {
+		row := src[y*w : (y+1)*w]
+		switch {
+		case y == 1:
+			for x := range row {
+				row[x] = math.Copysign(0, -1)
+			}
+		case y%3 != 2:
+			clear(row)
 		}
 	}
 }
@@ -102,18 +126,73 @@ func TestRealRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for _, dims := range realSizes {
 		w, h := dims[0], dims[1]
-		src := randReal(r, w*h)
-		hs := NewHalf2(w, h)
-		RealForward2Into(hs, src, w/2)
-		back := make([]float64, w*h)
-		RealInverse2Into(back, hs, w/2)
-		for i := range src {
-			if math.Abs(src[i]-back[i]) > 1e-10 {
-				t.Errorf("%dx%d: round trip err %v at %d", w, h, src[i]-back[i], i)
-				break
+		for _, sparse := range []bool{false, true} {
+			src := randReal(r, w*h)
+			if sparse {
+				zeroRealRows(src, w, h)
+			}
+			hs := NewHalf2(w, h)
+			RealForward2Into(hs, src, w/2)
+			back := make([]float64, w*h)
+			RealInverse2Into(back, hs, w/2, nil)
+			for i := range src {
+				if math.Abs(src[i]-back[i]) > 1e-10 {
+					t.Errorf("%dx%d sparse %v: round trip err %v at %d", w, h, sparse, src[i]-back[i], i)
+					break
+				}
 			}
 		}
 	}
+}
+
+func TestRealInverse2RowSet(t *testing.T) {
+	// With a row set the inverse computes every selected row bit for bit
+	// as the full inverse does, and writes no row of a pair it skips:
+	// those rows keep their NaN fill.
+	r := rand.New(rand.NewSource(17))
+	for _, n := range []int{2, 16, 64, 512} {
+		spec := NewHalf2(n, n)
+		RealForward2Into(spec, randReal(r, n*n), n/2)
+		sets := map[string][]bool{"empty": make([]bool, n), "single": make([]bool, n), "odd": make([]bool, n), "random": make([]bool, n)}
+		sets["single"][(n/2+1)%n] = true
+		for y := range sets["odd"] {
+			sets["odd"][y] = y%2 == 1
+			sets["random"][y] = r.Intn(5) == 0
+		}
+		for _, k := range bands(n) {
+			scratch := NewHalf2(n, n)
+			copy(scratch.Data, spec.Data)
+			want := make([]float64, n*n)
+			RealInverse2Into(want, scratch, k, nil)
+			for name, rows := range sets {
+				copy(scratch.Data, spec.Data)
+				got := make([]float64, n*n)
+				for i := range got {
+					got[i] = math.NaN()
+				}
+				RealInverse2Into(got, scratch, k, rows)
+				for y := 0; y < n; y++ {
+					for x := 0; x < n; x++ {
+						i := y*n + x
+						switch {
+						case rows[y] && math.Float64bits(got[i]) != math.Float64bits(want[i]):
+							t.Fatalf("n=%d band %d %s rows: selected pixel (%d,%d) = %v, full inverse %v", n, k, name, x, y, got[i], want[i])
+						case !rows[y] && !rows[y^1] && !math.IsNaN(got[i]):
+							t.Fatalf("n=%d band %d %s rows: skipped pixel (%d,%d) written (%v)", n, k, name, x, y, got[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RealInverse2Into with a 3-row set for a 4-row field did not panic")
+			}
+		}()
+		RealInverse2Into(make([]float64, 16), NewHalf2(4, 4), 2, make([]bool, 3))
+	}()
 }
 
 func TestRealInverse2MatchesInverse2(t *testing.T) {
@@ -136,7 +215,7 @@ func TestRealInverse2MatchesInverse2(t *testing.T) {
 		hs.Data[i] *= 0.5
 	}
 	got := make([]float64, w*h)
-	RealInverse2Into(got, hs, w/2)
+	RealInverse2Into(got, hs, w/2, nil)
 	for i := range got {
 		if math.Abs(got[i]-real(full.Data[i])) > 1e-10 {
 			t.Fatalf("inverse mismatch at %d: %v vs %v", i, got[i], real(full.Data[i]))
@@ -270,9 +349,9 @@ func TestRealInverse2BandMatchesFullBand(t *testing.T) {
 				}
 			}
 			want := make([]float64, w*h)
-			RealInverse2Into(want, zeroed, w/2)
+			RealInverse2Into(want, zeroed, w/2, nil)
 			got := make([]float64, w*h)
-			RealInverse2Into(got, banded, k)
+			RealInverse2Into(got, banded, k, nil)
 			for i := range want {
 				if got[i] != want[i] || math.Signbit(got[i]) != math.Signbit(want[i]) {
 					t.Fatalf("%dx%d band %d: pixel %d = %v, full band %v", w, h, k, i, got[i], want[i])

@@ -20,8 +20,8 @@ func TestAerialIntoSteadyStateAllocs(t *testing.T) {
 	s := NewSimulator(testConfig())
 	mask := maskWithRect(s.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
 	out := raster.NewField(s.Grid())
-	s.AerialInto(out, mask) // warm the pools
-	if n := testing.AllocsPerRun(5, func() { s.AerialInto(out, mask) }); n > steadyStateAllocBudget {
+	s.AerialInto(out, mask, nil) // warm the pools
+	if n := testing.AllocsPerRun(5, func() { s.AerialInto(out, mask, nil) }); n > steadyStateAllocBudget {
 		t.Errorf("AerialInto allocates %.0f objects/op, budget %d", n, steadyStateAllocBudget)
 	}
 }

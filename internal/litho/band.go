@@ -172,20 +172,21 @@ func (bd band) spectrumInto(g *fft.Grid2, box []complex128, k *kernel) {
 	}
 }
 
-// resampleInto writes into dst (a d×d real field, fully overwritten) the
-// s×s real field src band-limited to its |f| ≤ w box and sampled on the
-// d×d grid, for (d, s) = (n, m) or (m, n) and w < m/2: the box of src's
-// spectrum, truncated or zero-padded, goes through one inverse transform
-// of size d, scaled by (m/n)². Downwards that factor is the ratio of the
+// resampleInto writes into dst (a d×d real field, fully overwritten when
+// rows is nil) the s×s real field src band-limited to its |f| ≤ w box
+// and sampled on the d×d grid, for (d, s) = (n, m) or (m, n) and
+// w < m/2: the box of src's spectrum, truncated or zero-padded, goes
+// through one inverse transform of size d, scaled by (m/n)². Downwards that factor is the ratio of the
 // two grids' transform scales, so the m×m samples are the low-passed
 // raster field's values. Upwards it is the inverse ratio (n/m)² times the
 // (m/n)⁴ by which the raster |A_k|² is smaller than the m-grid |a_k|², so
 // the sum of w_k|a_k|² comes out as the raster intensity. Both transforms
 // run at band w, so only columns 0…w of either half-spectrum are
-// computed, cleared or read.
+// computed, cleared or read. rows, nil or of length d, selects the rows
+// of dst the inverse computes (fft.RealInverse2Into).
 //
 //cardopc:noalloc
-func (bd band) resampleInto(dst []float64, d int, src []float64, s, w int) {
+func (bd band) resampleInto(dst []float64, d int, src []float64, s, w int, rows []bool) {
 	hs := fft.GetHalf(s, s)
 	fft.RealForward2Into(hs, src, w)
 	hd := fft.GetHalf(d, d)
@@ -200,7 +201,7 @@ func (bd band) resampleInto(dst []float64, d int, src []float64, s, w int) {
 		}
 	}
 	hs.Release()
-	fft.RealInverse2Into(dst, hd, w)
+	fft.RealInverse2Into(dst, hd, w, rows)
 	hd.Release()
 }
 
@@ -251,6 +252,6 @@ func (bd band) realInverseInto(dst []float64, S []complex128) {
 			hn.Data[ky*hwn+kx] = complex(real(v)*0.5, imag(v)*0.5)
 		}
 	}
-	fft.RealInverse2Into(dst, hn, k)
+	fft.RealInverse2Into(dst, hn, k, nil)
 	hn.Release()
 }

@@ -66,7 +66,7 @@ func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, 
 	box := fft.GetGrid(s.band.u, s.band.u)
 	s.band.maskBoxInto(box, mask)
 	cache.ensure(s.band.m)
-	s.sweep(out, box, cache.amps)
+	s.sweep(out, box, cache.amps, nil)
 	fft.PutGrid(box)
 	scaleDose(out.Data, s.cfg.Dose)
 	return out
@@ -109,7 +109,7 @@ func (s *Simulator) GradientFromCacheInto(grad []float64, cache *ForwardCache, G
 	if m < n {
 		lp := fft.GetWorkspace(m, m)
 		defer lp.Release()
-		bd.resampleInto(lp.Acc, m, G, n, 2*bd.a)
+		bd.resampleInto(lp.Acc, m, G, n, 2*bd.a, nil)
 		gm = lp.Acc
 	}
 

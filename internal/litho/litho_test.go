@@ -213,10 +213,10 @@ func BenchmarkAerial256(b *testing.B) {
 	s := NewSimulator(testConfig())
 	mask := maskWithRect(s.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
 	out := raster.NewField(s.Grid())
-	s.AerialInto(out, mask) // warm the pools
+	s.AerialInto(out, mask, nil) // warm the pools
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.AerialInto(out, mask)
+		s.AerialInto(out, mask, nil)
 	}
 }
 

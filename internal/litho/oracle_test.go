@@ -106,6 +106,25 @@ func oracleMask(g raster.Grid) *raster.Field {
 	return f
 }
 
+// bandedMask is oracleMask with empty row bands: pairs of +0 rows, a +0
+// row beside a nonzero one, and a row of −0 pixels, which is not empty.
+func bandedMask(g raster.Grid) *raster.Field {
+	f := oracleMask(g)
+	n := g.Size
+	for y := 0; y < n; y++ {
+		row := f.Data[y*n : (y+1)*n]
+		switch {
+		case y == n/2+1:
+			for x := range row {
+				row[x] = math.Copysign(0, -1)
+			}
+		case y < n/4+1, y >= 5*n/8 && y < 3*n/4:
+			clear(row)
+		}
+	}
+	return f
+}
+
 func TestBandLimitedMatchesDense(t *testing.T) {
 	type tc struct {
 		name string
@@ -133,67 +152,92 @@ func TestBandLimitedMatchesDense(t *testing.T) {
 		// The kernel box is wider than the raster: the whole grid.
 		{"16@128 box>n", size(16, 128)},
 	}
+	// The banded mask runs the zero-row skips of the mask and kernel
+	// transforms against the oracle; the plain one almost never has a
+	// zero row pair.
+	masks := []struct {
+		name string
+		make func(raster.Grid) *raster.Field
+	}{{"", oracleMask}, {" banded", bandedMask}}
 	const tol = 1e-10
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			c.cfg(&cfg)
-			p := NewProcess(cfg, DefaultCorners())
-			s := p.Nominal
-			n := cfg.GridSize
-			mask := oracleMask(s.Grid())
-			mf := MaskFreqInto(fft.NewGrid2(n, n), mask)
+		for _, mk := range masks {
+			t.Run(c.name+mk.name, func(t *testing.T) {
+				cfg := DefaultConfig()
+				c.cfg(&cfg)
+				p := NewProcess(cfg, DefaultCorners())
+				s := p.Nominal
+				n := cfg.GridSize
+				mask := mk.make(s.Grid())
+				mf := MaskFreqInto(fft.NewGrid2(n, n), mask)
 
-			got := s.AerialFromFreqInto(raster.NewField(s.Grid()), mf)
-			// The mask paths transform only the union box's band and
-			// fill the box themselves; they must equal the full-spectrum
-			// path bit for bit, every corner of AerialAll included.
-			direct := s.AerialInto(raster.NewField(s.Grid()), mask)
-			nom, inner, outer := p.AerialAll(mask)
-			for _, r := range []struct {
-				what      string
-				got, want []float64
-			}{
-				{"AerialInto", direct.Data, got.Data},
-				{"AerialAll nominal", nom.Data, got.Data},
-				{"AerialAll inner", inner.Data, p.Inner.AerialFromFreqInto(raster.NewField(s.Grid()), mf).Data},
-				{"AerialAll outer", outer.Data, p.Outer.AerialFromFreqInto(raster.NewField(s.Grid()), mf).Data},
-			} {
-				for i, v := range r.want {
-					if r.got[i] != v {
-						t.Fatalf("%s: pixel %d = %v, AerialFromFreqInto %v", r.what, i, r.got[i], v)
+				got := s.AerialFromFreqInto(raster.NewField(s.Grid()), mf)
+				// The mask paths transform only the union box's band and
+				// fill the box themselves; they must equal the
+				// full-spectrum path bit for bit, every corner of
+				// AerialAll included.
+				direct := s.AerialInto(raster.NewField(s.Grid()), mask, nil)
+				nom, inner, outer := p.AerialAll(mask)
+				for _, r := range []struct {
+					what      string
+					got, want []float64
+				}{
+					{"AerialInto", direct.Data, got.Data},
+					{"AerialAll nominal", nom.Data, got.Data},
+					{"AerialAll inner", inner.Data, p.Inner.AerialFromFreqInto(raster.NewField(s.Grid()), mf).Data},
+					{"AerialAll outer", outer.Data, p.Outer.AerialFromFreqInto(raster.NewField(s.Grid()), mf).Data},
+				} {
+					for i, v := range r.want {
+						if r.got[i] != v {
+							t.Fatalf("%s: pixel %d = %v, AerialFromFreqInto %v", r.what, i, r.got[i], v)
+						}
 					}
 				}
-			}
-			cache := s.NewForwardCache()
-			defer cache.Release()
-			cached := s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
-			// G with full-band content, so the adjoint's low-pass of G
-			// is exercised rather than passed through.
-			G := make([]float64, n*n)
-			for i, v := range cached.Data {
-				G[i] = 2*(v-0.3) + 0.3*math.Sin(0.37*float64(i))
-			}
-			grad := s.GradientFromCacheInto(make([]float64, n*n), cache, G)
-
-			wantAerial, wantGrad := denseImaging(s, mf, G)
-			for _, r := range []struct {
-				what      string
-				got, want []float64
-			}{
-				{"AerialFromFreqInto", got.Data, wantAerial},
-				{"AerialInto", direct.Data, wantAerial},
-				{"AerialAll nominal", nom.Data, wantAerial},
-				{"AerialWithCacheInto", cached.Data, wantAerial},
-				{"GradientFromCacheInto", grad, wantGrad},
-			} {
-				e := relErr(r.got, r.want)
-				if e > tol || math.IsNaN(e) {
-					t.Errorf("%s (m=%d): relative error %.3g > %g", r.what, s.band.m, e, tol)
+				// A row set computes its rows as the full image has them.
+				rows := make([]bool, n)
+				for y := range rows {
+					rows[y] = y%3 == 0 || y == n/2+1
 				}
-				t.Logf("%s (m=%d): relative error %.3g", r.what, s.band.m, e)
-			}
-		})
+				part := raster.NewField(s.Grid())
+				for i := range part.Data {
+					part.Data[i] = math.NaN()
+				}
+				s.AerialInto(part, mask, rows)
+				for i, v := range direct.Data {
+					if rows[i/n] && part.Data[i] != v {
+						t.Fatalf("AerialInto with a row set: pixel %d = %v, full image %v", i, part.Data[i], v)
+					}
+				}
+				cache := s.NewForwardCache()
+				defer cache.Release()
+				cached := s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
+				// G with full-band content, so the adjoint's low-pass of G
+				// is exercised rather than passed through.
+				G := make([]float64, n*n)
+				for i, v := range cached.Data {
+					G[i] = 2*(v-0.3) + 0.3*math.Sin(0.37*float64(i))
+				}
+				grad := s.GradientFromCacheInto(make([]float64, n*n), cache, G)
+
+				wantAerial, wantGrad := denseImaging(s, mf, G)
+				for _, r := range []struct {
+					what      string
+					got, want []float64
+				}{
+					{"AerialFromFreqInto", got.Data, wantAerial},
+					{"AerialInto", direct.Data, wantAerial},
+					{"AerialAll nominal", nom.Data, wantAerial},
+					{"AerialWithCacheInto", cached.Data, wantAerial},
+					{"GradientFromCacheInto", grad, wantGrad},
+				} {
+					e := relErr(r.got, r.want)
+					if e > tol || math.IsNaN(e) {
+						t.Errorf("%s (m=%d): relative error %.3g > %g", r.what, s.band.m, e, tol)
+					}
+					t.Logf("%s (m=%d): relative error %.3g", r.what, s.band.m, e)
+				}
+			})
+		}
 	}
 }
 

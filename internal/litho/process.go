@@ -138,12 +138,12 @@ func (p *Process) aerialAllBox(box *fft.Grid2) (nom, inner, outer *raster.Field)
 			wg.Add(1)
 			go func(sim *Simulator, out *raster.Field) {
 				defer wg.Done()
-				sim.aerialBoxInto(out, box)
+				sim.aerialBoxInto(out, box, nil)
 			}(c.sim, c.out)
 		}
 	}
 	sp := obs.Start("litho.aerial")
-	p.Nominal.sweep(nom, box, nil)
+	p.Nominal.sweep(nom, box, nil, nil)
 	sp.End()
 	for _, c := range corners {
 		if sharesKernels(c.sim, p.Nominal) {

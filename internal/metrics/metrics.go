@@ -4,6 +4,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 
 	"cardopc/internal/geom"
@@ -62,20 +63,19 @@ func DefaultEPEConfig(ith float64) EPEConfig {
 // sub-pixel linear interpolation. A probe is "unresolved" when the profile
 // never crosses the threshold within ±SearchNM; it is assigned ±SearchNM
 // (printed edge entirely missing or engulfing) and counted in Unresolved.
+// It reads only the rows of aerial that MarkProbeRows marks for the same
+// probes and cfg, so an image computed on those rows alone gives the same
+// result.
 func MeasureEPE(aerial *raster.Field, probes []Probe, cfg EPEConfig) EPEResult {
 	res := EPEResult{PerProbe: make([]float64, len(probes))}
-	steps := int(math.Ceil(cfg.SearchNM / (aerial.Pitch / 2))) // half-pixel steps
-	if steps < 2 {
-		steps = 2
-	}
-	dt := cfg.SearchNM / float64(steps)
+	w := newWalk(aerial.Pitch, cfg)
 	for pi, pr := range probes {
-		e, ok := crossing(aerial, pr, cfg.Ith, steps, dt)
+		e, ok := crossing(aerial, pr, cfg.Ith, w)
 		if !ok {
 			res.Unresolved++
 			// Inside intensity below threshold → feature lost (large
 			// negative); above → engulfed (large positive).
-			if aerial.Bilinear(pr.Pos.Sub(pr.Normal.Mul(dt))) < cfg.Ith {
+			if aerial.Bilinear(w.at(pr, -1)) < cfg.Ith {
 				e = -cfg.SearchNM
 			} else {
 				e = cfg.SearchNM
@@ -90,17 +90,64 @@ func MeasureEPE(aerial *raster.Field, probes []Probe, cfg EPEConfig) EPEResult {
 	return res
 }
 
+// MarkProbeRows sets rows[y] for every raster row y that MeasureEPE can
+// read when it measures probes with cfg on a field over g: the rows y0
+// and y0+1 that each bilinear sample of each probe's walk interpolates
+// between, where they lie on the raster. The unresolved-probe fallback
+// samples walk point −1, so its rows are among them. Rows already set
+// stay set; len(rows) must be g.Size.
+func MarkProbeRows(rows []bool, g raster.Grid, probes []Probe, cfg EPEConfig) {
+	if len(rows) != g.Size {
+		panic(fmt.Sprintf("metrics: %d-row set for a %d px raster", len(rows), g.Size))
+	}
+	w := newWalk(g.Pitch, cfg)
+	for _, pr := range probes {
+		for k := -w.steps; k <= w.steps; k++ {
+			// raster.Field.Bilinear's row arithmetic.
+			_, fy := g.ToPixel(w.at(pr, k))
+			y0 := int(math.Floor(fy))
+			if y0 >= 0 && y0 < len(rows) {
+				rows[y0] = true
+			}
+			if y1 := y0 + 1; y1 >= 0 && y1 < len(rows) {
+				rows[y1] = true
+			}
+		}
+	}
+}
+
+// walk is the sampling of one probe's intensity profile: the points at
+// s = k·dt along the normal, k = −steps…steps, half a pixel apart or
+// closer. MeasureEPE and MarkProbeRows both place samples through it.
+type walk struct {
+	steps int
+	dt    float64
+}
+
+func newWalk(pitch float64, cfg EPEConfig) walk {
+	steps := int(math.Ceil(cfg.SearchNM / (pitch / 2))) // half-pixel steps
+	if steps < 2 {
+		steps = 2
+	}
+	return walk{steps: steps, dt: cfg.SearchNM / float64(steps)}
+}
+
+// at returns sample k of probe pr's walk.
+func (w walk) at(pr Probe, k int) geom.Pt {
+	return pr.Pos.Add(pr.Normal.Mul(float64(k) * w.dt))
+}
+
 // crossing walks the intensity profile I(pos + s·normal) for s in
 // [-range, +range] looking for the threshold crossing nearest s = 0 and
 // refines it linearly.
-func crossing(aerial *raster.Field, pr Probe, ith float64, steps int, dt float64) (float64, bool) {
-	// Sample from -steps..steps.
-	prev := aerial.Bilinear(pr.Pos.Add(pr.Normal.Mul(-float64(steps) * dt)))
+func crossing(aerial *raster.Field, pr Probe, ith float64, w walk) (float64, bool) {
+	dt := w.dt
+	prev := aerial.Bilinear(w.at(pr, -w.steps))
 	bestS := math.Inf(1)
 	found := false
-	for k := -steps + 1; k <= steps; k++ {
+	for k := -w.steps + 1; k <= w.steps; k++ {
 		s := float64(k) * dt
-		cur := aerial.Bilinear(pr.Pos.Add(pr.Normal.Mul(s)))
+		cur := aerial.Bilinear(w.at(pr, k))
 		if (prev >= ith) != (cur >= ith) {
 			// Linear refinement between s-dt and s.
 			t := 0.5
