@@ -1,8 +1,10 @@
 // Package fft provides hand-written fast Fourier transforms used by the
 // lithography simulator and the pixel ILT engine: an iterative radix-2
-// complex FFT, 2-D transforms parallelised across rows over a persistent
-// worker pool, real-input transforms, fftshift helpers and pooled scratch
-// workspaces so the litho hot path runs allocation-free in steady state.
+// complex FFT that runs two butterfly stages per pass, 2-D transforms
+// whose column passes run in place on the grid, real-input transforms
+// parallelised over a persistent worker pool, fftshift helpers and
+// pooled scratch workspaces so the litho hot path runs allocation-free
+// in steady state.
 //
 // All transforms are in-place over []complex128 and require power-of-two
 // lengths; Pow2Ceil helps callers pick grid sizes.
@@ -30,15 +32,20 @@ func Pow2Ceil(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// plan caches bit-reversal permutations and twiddle factors per size.
-// Both twiddle directions are precomputed so the butterfly loop carries
-// no per-element conjugation branch.
+// plan caches, per transform length, the bit-reversal transpositions and
+// the twiddles of every butterfly stage in both directions, so the
+// butterfly loops carry no per-element conjugation branch and read their
+// twiddles contiguously.
 type plan struct {
-	n   int
-	rev []int
-	// tw holds e^{-2πi k/n} for k in [0, n/2); twInv its conjugate.
-	tw    []complex128
-	twInv []complex128
+	n int
+	// swaps lists the bit-reversal transpositions as (i, j) pairs with
+	// i < j, flattened.
+	swaps []int32
+	// stages[s] holds the twiddles of the stage of size 2<<s,
+	// e^{-2πi k/(2<<s)} for k in [0, 1<<s), copied from the n-point
+	// table so every twiddle keeps its bits at every length; stagesInv
+	// holds their conjugates.
+	stages, stagesInv [][]complex128
 	// lastUse is the planClock stamp of the most recent getPlan hit,
 	// driving least-recently-used eviction.
 	lastUse atomic.Int64
@@ -63,7 +70,13 @@ var (
 	planClock atomic.Int64
 )
 
+// getPlan returns the cached plan for length n. Callers hold a plan for
+// a whole pass, so a length that is not a power of two panics here,
+// before it can enter the cache.
 func getPlan(n int) *plan {
+	if !IsPow2(n) {
+		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
+	}
 	planMu.RLock()
 	p, ok := plans[n]
 	planMu.RUnlock()
@@ -77,24 +90,41 @@ func getPlan(n int) *plan {
 		p.lastUse.Store(planClock.Add(1))
 		return p
 	}
-	p = &plan{n: n}
-	p.rev = make([]int, n)
-	shift := bits.LeadingZeros(uint(n)) + 1
-	for i := range p.rev {
-		p.rev[i] = int(bits.Reverse(uint(i)) >> shift)
-	}
-	p.tw = make([]complex128, n/2)
-	p.twInv = make([]complex128, n/2)
-	for k := range p.tw {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		p.tw[k] = complex(math.Cos(ang), math.Sin(ang))
-		p.twInv[k] = complex(real(p.tw[k]), -imag(p.tw[k]))
-	}
+	p = newPlan(n)
 	if len(plans) >= maxPlans {
 		evictLRUPlanLocked()
 	}
 	p.lastUse.Store(planClock.Add(1))
 	plans[n] = p
+	return p
+}
+
+// newPlan builds the plan for the power of two n.
+func newPlan(n int) *plan {
+	p := &plan{n: n}
+	shift := bits.LeadingZeros(uint(n)) + 1
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse(uint(i)) >> shift); i < j {
+			p.swaps = append(p.swaps, int32(i), int32(j))
+		}
+	}
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		tw[k] = complex(math.Cos(ang), math.Sin(ang))
+	}
+	fwd := make([]complex128, 0, n-1)
+	inv := make([]complex128, 0, n-1)
+	for size := 2; size <= n; size <<= 1 {
+		lo := len(fwd)
+		for k := 0; k < size/2; k++ {
+			w := tw[k*(n/size)]
+			fwd = append(fwd, w)
+			inv = append(inv, complex(real(w), -imag(w)))
+		}
+		p.stages = append(p.stages, fwd[lo:len(fwd):len(fwd)])
+		p.stagesInv = append(p.stagesInv, inv[lo:len(inv):len(inv)])
+	}
 	return p
 }
 
@@ -155,40 +185,156 @@ func Inverse(x []complex128) {
 	}
 }
 
+// transform runs the unnormalised DFT of x in place; len(x) must be a
+// power of two (getPlan panics otherwise).
 func transform(x []complex128, inverse bool) {
-	n := len(x)
+	if len(x) <= 1 {
+		return
+	}
+	getPlan(len(x)).transform(x, inverse)
+}
+
+// transform runs the unnormalised DFT of x[:p.n] in place. It is the
+// textbook decimation-in-time radix-2 transform — bit-reversal, then
+// stages of size 2, 4, …, n, each butterfly b := hi·w; lo, hi = a+b, a−b
+// — with two stages fused per pass: a group of four elements goes
+// through stages s and s+1 in registers. Every butterfly keeps its
+// operands and twiddle, so the output is bit for bit the radix-2 loop's.
+func (p *plan) transform(x []complex128, inverse bool) {
+	n := p.n
 	if n <= 1 {
 		return
 	}
-	if !IsPow2(n) {
-		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
+	x = x[:n]
+	sw := p.swaps
+	for i := 1; i < len(sw); i += 2 {
+		a, b := sw[i-1], sw[i]
+		x[a], x[b] = x[b], x[a]
 	}
-	p := getPlan(n)
-	for i, j := range p.rev {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
+	st := p.stages
+	if inverse {
+		st = p.stagesInv
+	}
+	s := 0
+	if n >= 4 {
+		// Stages of size 2 and 4: three scalar twiddles.
+		w1, w2, w3 := st[0][0], st[1][0], st[1][1]
+		for i := 0; i+4 <= n; i += 4 {
+			q := x[i : i+4 : i+4]
+			a0, a1, a2, a3 := q[0], q[1], q[2], q[3]
+			b := a1 * w1
+			a0, a1 = a0+b, a0-b
+			b = a3 * w1
+			a2, a3 = a2+b, a2-b
+			b = a2 * w2
+			q[0], q[2] = a0+b, a0-b
+			b = a3 * w3
+			q[1], q[3] = a1+b, a1-b
+		}
+		s = 2
+	}
+	for ; s+1 < len(st); s += 2 {
+		h := 1 << s
+		t1, t2, t3 := st[s][:h], st[s+1][:h], st[s+1][h:][:h]
+		for i := 0; i+4*h <= n; i += 4 * h {
+			q := x[i : i+4*h]
+			x0, x1, x2, x3 := q[:h], q[h:][:h], q[2*h:][:h], q[3*h:][:h]
+			for j, w := range t1 {
+				a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+				b := a1 * w
+				a0, a1 = a0+b, a0-b
+				b = a3 * w
+				a2, a3 = a2+b, a2-b
+				b = a2 * t2[j]
+				x0[j], x2[j] = a0+b, a0-b
+				b = a3 * t3[j]
+				x1[j], x3[j] = a1+b, a1-b
+			}
 		}
 	}
-	// The direction is baked into the twiddle table, keeping the
-	// innermost butterfly branch- and conjugation-free.
-	tw := p.tw
-	if inverse {
-		tw = p.twInv
+	if s < len(st) {
+		// Odd log₂ n: the stage of size n runs alone.
+		h := n / 2
+		lo, hi := x[:h], x[h:][:h]
+		for j, w := range st[s][:h] {
+			a := lo[j]
+			b := hi[j] * w
+			lo[j], hi[j] = a+b, a-b
+		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := tw[k*step]
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+}
+
+// columns runs transform down columns c0 … c0+nc−1 of the row-major grid
+// data, p.n rows of stride elements, in place. The bit-reversal swaps
+// exchange row segments and each butterfly combines two row segments
+// with one twiddle, so every column goes through exactly the arithmetic
+// transform applies to a row: the result is bit for bit that of
+// transposing, transforming rows and transposing back.
+func (p *plan) columns(data []complex128, stride, c0, nc int, inverse bool) {
+	n := p.n
+	if n <= 1 || nc <= 0 {
+		return
+	}
+	seg := func(r int) []complex128 { return data[r*stride+c0:][:nc] }
+	sw := p.swaps
+	for i := 1; i < len(sw); i += 2 {
+		ra, rb := seg(int(sw[i-1])), seg(int(sw[i]))
+		for c, v := range ra {
+			ra[c], rb[c] = rb[c], v
+		}
+	}
+	st := p.stages
+	if inverse {
+		st = p.stagesInv
+	}
+	s := 0
+	for ; s+1 < len(st); s += 2 {
+		h := 1 << s
+		t1, t2, t3 := st[s][:h], st[s+1][:h], st[s+1][h:][:h]
+		for i := 0; i+4*h <= n; i += 4 * h {
+			for j, w := range t1 {
+				r := i + j
+				butterflies4(seg(r), seg(r+h), seg(r+2*h), seg(r+3*h), w, t2[j], t3[j])
+			}
+		}
+	}
+	if s < len(st) {
+		h := n / 2
+		for j, w := range st[s][:h] {
+			lo, hi := seg(j), seg(j+h)
+			hi = hi[:len(lo)]
+			for c, a := range lo {
+				b := hi[c] * w
+				lo[c], hi[c] = a+b, a-b
 			}
 		}
 	}
 }
+
+// butterflies4 runs two fused radix-2 stages elementwise over four
+// equal-length row segments: stage s pairs (x0, x1) and (x2, x3) with
+// twiddle w1, stage s+1 pairs (x0, x2) with w2 and (x1, x3) with w3.
+func butterflies4(x0, x1, x2, x3 []complex128, w1, w2, w3 complex128) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for c, a0 := range x0 {
+		a1, a2, a3 := x1[c], x2[c], x3[c]
+		b := a1 * w1
+		a0, a1 = a0+b, a0-b
+		b = a3 * w1
+		a2, a3 = a2+b, a2-b
+		b = a2 * w2
+		x0[c], x2[c] = a0+b, a0-b
+		b = a3 * w3
+		x1[c], x3[c] = a1+b, a1-b
+	}
+}
+
+// colChunk is the column-window width of the in-place column passes: a
+// window of 16 complex128 is 256 bytes per row, so a 512-row window
+// (128 KB) stays cache-resident through every stage while each row
+// segment is read contiguously. Measured against 4, 8 and 32 on the
+// 64² kernel transforms and the 512² raster transforms.
+const colChunk = 16
 
 // allPosZero reports whether every element of x is +0 (all bits clear).
 // A −0 or any other value makes it false: the transform of a vector of
@@ -245,8 +391,10 @@ func (g *Grid2) Fill(v complex128) {
 	}
 }
 
-// Forward2 computes the in-place forward 2-D DFT of g (rows then columns),
-// parallelised over the package worker pool.
+// Forward2 computes the in-place forward 2-D DFT of g (rows then columns)
+// on the caller's goroutine. Its callers are kernel-sized transforms
+// that already run one per worker, so a fan-out would only contend for
+// the same CPUs.
 //
 //cardopc:noalloc
 func Forward2(g *Grid2) {
@@ -255,9 +403,10 @@ func Forward2(g *Grid2) {
 }
 
 // Inverse2 computes the in-place inverse 2-D DFT of g with 1/(W·H)
-// normalisation. W·H is a power of two, so the normalisation multiplies
-// by its exact reciprocal: every nonzero value equals the complex
-// division by W·H, and only the sign of an exact zero can differ.
+// normalisation, on the caller's goroutine as Forward2 does. W·H is a
+// power of two, so the normalisation multiplies by its exact
+// reciprocal: every nonzero value equals the complex division by W·H,
+// and only the sign of an exact zero can differ.
 //
 //cardopc:noalloc
 func Inverse2(g *Grid2) {
@@ -269,57 +418,23 @@ func Inverse2(g *Grid2) {
 	}
 }
 
-// transposeBlock is the tile edge of the cache-blocked transpose: a
-// 32×32 complex128 tile is 16 KB, so one source tile plus one
-// destination tile stay L1-resident while every destination line is
-// written contiguously.
-const transposeBlock = 32
-
-// transposeInto writes the transpose of src's leading w×h block (w
-// columns of its first h rows) into dst's leading h×w block; the rest of
-// dst is untouched. The tiles are the parallel work items, so a thin
-// block spreads over the pool whichever way it is thin.
-//
-//cardopc:noalloc
-func transposeInto(dst, src *Grid2, w, h int) {
-	if w > src.W || h > src.H || h > dst.W || w > dst.H {
-		panic(fmt.Sprintf("fft: transpose %dx%d block of a %dx%d grid into %dx%d", w, h, src.W, src.H, dst.W, dst.H))
-	}
-	nxb := (w + transposeBlock - 1) / transposeBlock
-	nyb := (h + transposeBlock - 1) / transposeBlock
-	parallelRows(nxb*nyb, func(t int) { //cardopc:allow noalloc one fan-out closure per transpose, pinned by BenchmarkForward2's allocs/op
-		x0, y0 := t/nyb*transposeBlock, t%nyb*transposeBlock
-		x1, y1 := min(x0+transposeBlock, w), min(y0+transposeBlock, h)
-		for x := x0; x < x1; x++ {
-			d := x * dst.W
-			for y := y0; y < y1; y++ {
-				dst.Data[d+y] = src.Data[y*src.W+x]
-			}
-		}
-	})
-}
-
-// transform2 runs the separable 2-D transform as row FFTs, a blocked
-// transpose into pooled scratch, row FFTs again (the columns), and a
-// transpose back — every FFT then walks contiguous memory instead of
-// gathering strided columns. The first pass skips rows of +0s, which
-// every transform maps to themselves; a band-limited kernel spectrum
-// holds about as many such rows as nonzero ones.
+// transform2 runs the separable 2-D transform serially: row transforms,
+// then column transforms in place over windows of colChunk columns. The
+// row pass skips rows of +0s, which every transform maps to themselves;
+// a band-limited kernel spectrum holds about as many such rows as
+// nonzero ones.
 //
 //cardopc:noalloc
 func transform2(g *Grid2, inverse bool) {
-	parallelRows(g.H, func(y int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by BenchmarkForward2's allocs/op
+	pr, pc := getPlan(g.W), getPlan(g.H)
+	for y := 0; y < g.H; y++ {
 		if row := g.Data[y*g.W : (y+1)*g.W]; !allPosZeroC(row) {
-			transform(row, inverse)
+			pr.transform(row, inverse)
 		}
-	})
-	t := GetGrid(g.H, g.W)
-	transposeInto(t, g, g.W, g.H)
-	parallelRows(t.H, func(y int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by BenchmarkForward2's allocs/op
-		transform(t.Data[y*t.W:(y+1)*t.W], inverse)
-	})
-	transposeInto(g, t, t.W, t.H)
-	PutGrid(t)
+	}
+	for c0 := 0; c0 < g.W; c0 += colChunk {
+		pc.columns(g.Data, g.W, c0, min(colChunk, g.W-c0), inverse)
+	}
 }
 
 // Shift2 swaps quadrants in place so the zero-frequency bin moves between

@@ -1,7 +1,9 @@
 package fft
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"sync"
@@ -40,6 +42,257 @@ func maxErr(a, b []complex128) float64 {
 		}
 	}
 	return m
+}
+
+// radix2 is the textbook radix-2 transform the fused kernel replaced,
+// kept verbatim as the bit-identity oracle: bit-reversal, then stages of
+// size 2, 4, …, n reading the n-point twiddle table with a stride.
+func radix2(x []complex128, inverse bool) {
+	n := len(x)
+	if n <= 1 {
+		return
+	}
+	rev := make([]int, n)
+	shift := bits.LeadingZeros(uint(n)) + 1
+	for i := range rev {
+		rev[i] = int(bits.Reverse(uint(i)) >> shift)
+	}
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		tw[k] = complex(math.Cos(ang), math.Sin(ang))
+		if inverse {
+			tw[k] = complex(real(tw[k]), -imag(tw[k]))
+		}
+	}
+	for i, j := range rev {
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				w := tw[k*step]
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
+		}
+	}
+}
+
+// bitsDiff returns the first index at which got and want differ, or −1.
+// Parts compare by math.Float64bits, except that a NaN need only meet a
+// NaN: a NaN's payload follows the compiler's operand order, not the
+// algorithm.
+func bitsDiff(got, want []complex128) int {
+	same := func(g, w float64) bool {
+		if math.IsNaN(g) || math.IsNaN(w) {
+			return math.IsNaN(g) && math.IsNaN(w)
+		}
+		return math.Float64bits(g) == math.Float64bits(w)
+	}
+	for i := range want {
+		if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// oracleInputs returns the input classes the bit-identity tests sweep
+// at length n: random normals, normals sparse among +0 and −0,
+// subnormals, ±MaxFloat64 (whose sums overflow to ±Inf and NaN), and a
+// mix of ±Inf, NaN and ±0 among normals. pick draws each part from its
+// values or, one time in len(vs)+1, from a normal.
+func oracleInputs(r *rand.Rand, n int) map[string][]complex128 {
+	gen := func(f func() float64) []complex128 {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(f(), f())
+		}
+		return x
+	}
+	negZero := math.Copysign(0, -1)
+	pick := func(vs ...float64) func() float64 {
+		return func() float64 {
+			if v := r.Intn(len(vs) + 1); v < len(vs) {
+				return vs[v]
+			}
+			return r.NormFloat64()
+		}
+	}
+	return map[string][]complex128{
+		"normal":       gen(r.NormFloat64),
+		"signed zeros": gen(pick(0, negZero, 0)),
+		"subnormal":    gen(func() float64 { return r.NormFloat64() * 0x1p-1060 }),
+		"huge": gen(func() float64 {
+			return math.Copysign(math.MaxFloat64*(0.5+r.Float64()/2), r.NormFloat64())
+		}),
+		"non-finite": gen(pick(math.Inf(1), math.Inf(-1), math.NaN(), 0, negZero)),
+	}
+}
+
+func TestTransformMatchesRadix2(t *testing.T) {
+	// The fused radix-2² kernel runs every butterfly of the textbook
+	// loop with the same operands and twiddle, so every output keeps its
+	// bits: at every length, in both directions, on every input class.
+	r := rand.New(rand.NewSource(17))
+	for n := 1; n <= 8192; n *= 2 {
+		for name, x := range oracleInputs(r, n) {
+			for _, inverse := range []bool{false, true} {
+				want := append([]complex128(nil), x...)
+				radix2(want, inverse)
+				got := append([]complex128(nil), x...)
+				transform(got, inverse)
+				if i := bitsDiff(got, want); i >= 0 {
+					t.Fatalf("n=%d %s inverse=%v: element %d = %v, radix-2 gives %v", n, name, inverse, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestColumnsMatchTransposedRadix2(t *testing.T) {
+	// The in-place column pass over a window of a strided grid equals
+	// transposing the window, transforming its rows with the radix-2
+	// oracle and transposing back, bit for bit; columns outside the
+	// window and the stride padding stay as they were.
+	r := rand.New(rand.NewSource(18))
+	const width = 2*colChunk + 9
+	const stride = width + 3
+	windows := [][2]int{{0, 1}, {1, 3}, {4, colChunk}, {4 + colChunk, width - 4 - colChunk}}
+	for h := 1; h <= 512; h *= 2 {
+		for name, x := range oracleInputs(r, h*stride) {
+			for _, inverse := range []bool{false, true} {
+				for _, win := range windows {
+					c0, nc := win[0], win[1]
+					want := append([]complex128(nil), x...)
+					col := make([]complex128, h)
+					for c := c0; c < c0+nc; c++ {
+						for y := range col {
+							col[y] = want[y*stride+c]
+						}
+						radix2(col, inverse)
+						for y, v := range col {
+							want[y*stride+c] = v
+						}
+					}
+					got := append([]complex128(nil), x...)
+					getPlan(h).columns(got, stride, c0, nc, inverse)
+					if i := bitsDiff(got, want); i >= 0 {
+						t.Fatalf("h=%d %s inverse=%v window %v: element (%d,%d) = %v, radix-2 gives %v",
+							h, name, inverse, win, i%stride, i/stride, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTransform2MatchesRadix2(t *testing.T) {
+	// Forward2 and Inverse2 equal the radix-2 oracle over rows, then
+	// columns (then the exact reciprocal), bit for bit; the sparse grid
+	// exercises the skip of +0 rows next to a row of −0s.
+	r := rand.New(rand.NewSource(19))
+	for _, dims := range [][2]int{{64, 64}, {32, 16}, {16, 32}, {1, 8}, {8, 1}, {128, 4}} {
+		w, h := dims[0], dims[1]
+		for _, sparse := range []bool{false, true} {
+			for _, inverse := range []bool{false, true} {
+				g := NewGrid2(w, h)
+				for i := range g.Data {
+					g.Data[i] = complex(r.NormFloat64(), r.NormFloat64())
+				}
+				if sparse {
+					zeroRows(g)
+				}
+				want := g.Clone()
+				for y := 0; y < h; y++ {
+					radix2(want.Data[y*w:(y+1)*w], inverse)
+				}
+				col := make([]complex128, h)
+				for c := 0; c < w; c++ {
+					for y := range col {
+						col[y] = want.Data[y*w+c]
+					}
+					radix2(col, inverse)
+					for y, v := range col {
+						want.Data[y*w+c] = v
+					}
+				}
+				if inverse {
+					inv := 1 / float64(w*h)
+					for i, v := range want.Data {
+						want.Data[i] = complex(real(v)*inv, imag(v)*inv)
+					}
+					Inverse2(g)
+				} else {
+					Forward2(g)
+				}
+				if i := bitsDiff(g.Data, want.Data); i >= 0 {
+					t.Fatalf("%dx%d sparse=%v inverse=%v: element %d = %v, radix-2 gives %v", w, h, sparse, inverse, i, g.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// FuzzTransformMatchesRadix2 drives the fused kernel with arbitrary
+// float64 bits: log₂ n is logn mod 13 (lengths 1…4096), and raw fills
+// the real and imaginary parts eight little-endian bytes at a time,
+// cycling when short (all zeros when empty). The output must meet the
+// radix-2 oracle by bitsDiff's rule.
+func FuzzTransformMatchesRadix2(f *testing.F) {
+	f.Fuzz(func(t *testing.T, logn uint8, inverse bool, raw []byte) {
+		n := 1 << (logn % 13)
+		word := func(i int) float64 {
+			if len(raw) == 0 {
+				return 0
+			}
+			var b [8]byte
+			for j := range b {
+				b[j] = raw[(8*i+j)%len(raw)]
+			}
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(word(2*i), word(2*i+1))
+		}
+		want := append([]complex128(nil), x...)
+		radix2(want, inverse)
+		transform(x, inverse)
+		if i := bitsDiff(x, want); i >= 0 {
+			t.Fatalf("n=%d inverse=%v: element %d = %v, radix-2 gives %v", n, inverse, i, x[i], want[i])
+		}
+	})
+}
+
+func TestTransform2PanicsOnNonPow2(t *testing.T) {
+	// A grid that is not a power of two on either axis has no transform:
+	// Forward2 and Inverse2 panic, and no such length enters the plan
+	// cache.
+	for _, dims := range [][2]int{{6, 4}, {4, 6}, {3, 1}} {
+		for name, fn := range map[string]func(*Grid2){"Forward2": Forward2, "Inverse2": Inverse2} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%dx%d) did not panic", name, dims[0], dims[1])
+					}
+				}()
+				fn(NewGrid2(dims[0], dims[1]))
+			}()
+		}
+	}
+	for n := range planSizes() {
+		if !IsPow2(n) {
+			t.Errorf("plan cache holds length %d, not a power of two", n)
+		}
+	}
 }
 
 func TestPow2Ceil(t *testing.T) {
@@ -234,8 +487,9 @@ func dft2(g *Grid2) *Grid2 {
 }
 
 func TestForward2NonSquareMatchesDFT(t *testing.T) {
-	// Guards the blocked transpose on rectangular grids, where a wrong
-	// index mapping cannot cancel out the way it might on square ones.
+	// Guards the in-place column pass on rectangular grids, where a
+	// wrong stride or window cannot cancel out the way it might on square
+	// ones.
 	// The sparse grids add rows of +0s, which the first pass skips, and a
 	// row of −0s, which it must transform; both directions are checked,
 	// the inverse against the conjugate DFT.
@@ -402,6 +656,27 @@ func BenchmarkForward2_256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Forward2(g)
+	}
+}
+
+// BenchmarkInverse2_64 times the transform the SOCS kernel sweep runs
+// 230 times per clip: a 64² spectrum nonzero only on a 31² box wrapped
+// around bin 0, so rows 16–48 are +0, as litho's spectrumInto leaves
+// it. Inverse2 runs in place, so each iteration copies the spectrum in
+// first.
+func BenchmarkInverse2_64(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	spec := NewGrid2(64, 64)
+	for y := -15; y <= 15; y++ {
+		for x := -15; x <= 15; x++ {
+			spec.Set(x&63, y&63, complex(r.NormFloat64(), r.NormFloat64()))
+		}
+	}
+	g := NewGrid2(64, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(g.Data, spec.Data)
+		Inverse2(g)
 	}
 }
 

@@ -14,20 +14,22 @@ import (
 // an O(W) unpack splits the two Hermitian row spectra), and the column
 // pass only touches the W/2+1 stored columns. Compared to loading the
 // real field into a complex grid and running Forward2, the FFT work
-// halves. Both transforms also take a band half-width k: the forward
-// computes only the stored columns 0…k and the inverse reads only those,
-// so a consumer whose spectrum is band-limited (the SOCS kernel sweep
-// reads the mask spectrum over |kx| ≤ k) skips the other column
-// transforms and their transposes. Every kept column goes through the
-// same arithmetic as at the full band k = W/2, so it is bit-identical to
-// it. Two row prunings keep that guarantee. The forward skips the
-// transform of a packed row pair whose two rows are all +0, since the
-// transform of +0s is +0s; a mask raster is mostly such rows. The
-// inverse takes an optional row set and runs its row pass only on the
-// pairs that hold a selected row, so a consumer that samples a few rows
-// of the field (the correction step's EPE probes) pays for those alone.
-// ExpandHalfInto mirrors a full-band half-spectrum into a full grid for
-// consumers that want every bin.
+// halves. The row passes spread their packed rows over the worker pool;
+// the column pass runs in place on the half-spectrum, its windows of
+// colChunk columns spread over the same pool. Both transforms also take
+// a band half-width k: the forward computes only the stored columns 0…k
+// and the inverse reads only those, so a consumer whose spectrum is
+// band-limited (the SOCS kernel sweep reads the mask spectrum over
+// |kx| ≤ k) skips the other column transforms. Every kept column goes
+// through the same arithmetic as at the full band k = W/2, so it is
+// bit-identical to it. Two row prunings keep that guarantee. The
+// forward skips the transform of a packed row pair whose two rows are
+// all +0, since the transform of +0s is +0s; a mask raster is mostly
+// such rows. The inverse takes an optional row set and runs its row
+// pass only on the pairs that hold a selected row, so a consumer that
+// samples a few rows of the field (the correction step's EPE probes)
+// pays for those alone. ExpandHalfInto mirrors a full-band
+// half-spectrum into a full grid for consumers that want every bin.
 
 // Half2 is the half-spectrum of a real FullW×H field: H rows of
 // FullW/2+1 non-redundant columns, stored row-major in the embedded
@@ -124,6 +126,7 @@ func RealForward2Into(hs *Half2, src []float64, k int) {
 	// +0 rows packs to +0s, which the transform leaves as they are, so
 	// clearing z gives the same unpacked bits, −0 imaginary parts of the
 	// odd row included.
+	pr := getPlan(w)
 	zg := GetGrid(w, h/2)
 	parallelRows(h/2, func(p int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
 		z := zg.Data[p*w : (p+1)*w]
@@ -135,7 +138,7 @@ func RealForward2Into(hs *Half2, src []float64, k int) {
 			for j := 0; j < w; j++ {
 				z[j] = complex(a[j], b[j])
 			}
-			transform(z, false)
+			pr.transform(z, false)
 		}
 		ra := hs.Data[(2*p)*hw : (2*p)*hw+k+1]
 		rb := hs.Data[(2*p+1)*hw : (2*p+1)*hw+k+1]
@@ -151,15 +154,21 @@ func RealForward2Into(hs *Half2, src []float64, k int) {
 	})
 	PutGrid(zg)
 
-	// Column pass over the stored columns 0…k, via the blocked transpose
-	// so each length-h transform walks contiguous memory.
-	ct := GetGrid(h, k+1)
-	transposeInto(ct, &hs.Grid2, k+1, h)
-	parallelRows(k+1, func(x int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
-		transform(ct.Data[x*h:(x+1)*h], false)
+	// Column pass over the stored columns 0…k, in place on hs, one
+	// window of colChunk columns per work item.
+	columnPass(hs, k, false)
+}
+
+// columnPass transforms the stored columns 0…k of hs in place, spreading
+// windows of colChunk columns over the worker pool.
+//
+//cardopc:noalloc
+func columnPass(hs *Half2, k int, inverse bool) {
+	pc := getPlan(hs.Grid2.H)
+	parallelRows((k+colChunk)/colChunk, func(i int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
+		c0 := i * colChunk
+		pc.columns(hs.Data, hs.Grid2.W, c0, min(colChunk, k+1-c0), inverse)
 	})
-	transposeInto(&hs.Grid2, ct, h, k+1)
-	PutGrid(ct)
 }
 
 // RealInverse2Into computes the inverse 2-D DFT of the half-spectrum hs
@@ -191,6 +200,9 @@ func RealInverse2Into(dst []float64, hs *Half2, k int, rows []bool) {
 	if rows != nil && len(rows) != h {
 		panic(fmt.Sprintf("fft: %d-row set for a %d-row field", len(rows), h))
 	}
+	if !IsPow2(w) || !IsPow2(h) {
+		panic(fmt.Sprintf("fft: real transform dims %dx%d are not powers of two", w, h))
+	}
 	checkBand(k, w)
 	hw := HalfW(w)
 	inv := 1 / float64(w*h)
@@ -211,17 +223,12 @@ func RealInverse2Into(dst []float64, hs *Half2, k int, rows []bool) {
 
 	// Column pass first (unnormalised; the 1/(w·h) factor is applied in
 	// the final write-out).
-	ct := GetGrid(h, k+1)
-	transposeInto(ct, &hs.Grid2, k+1, h)
-	parallelRows(k+1, func(x int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
-		transform(ct.Data[x*h:(x+1)*h], true)
-	})
-	transposeInto(&hs.Grid2, ct, h, k+1)
-	PutGrid(ct)
+	columnPass(hs, k, true)
 
 	// Row pass: after the column inverse each spatial row is Hermitian
 	// in kx, so rows (2p, 2p+1) reconstruct from one complex inverse of
 	// Z[j] = A[j] + i·B[j] — the exact inverse of the forward packing.
+	pr := getPlan(w)
 	zg := GetGrid(w, h/2)
 	parallelRows(h/2, func(p int) { //cardopc:allow noalloc one fan-out closure per pass, pinned by the mask_freq allocs budget
 		if rows != nil && !rows[2*p] && !rows[2*p+1] {
@@ -242,7 +249,7 @@ func RealInverse2Into(dst []float64, hs *Half2, k int, rows []bool) {
 			// a + i·b, zero between the two bands
 			z[j] = complex(real(a)-imag(b), imag(a)+real(b))
 		}
-		transform(z, true)
+		pr.transform(z, true)
 		da := dst[(2*p)*w : (2*p+1)*w]
 		db := dst[(2*p+1)*w : (2*p+2)*w]
 		for j, v := range z {

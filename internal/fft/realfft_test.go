@@ -295,6 +295,35 @@ func TestRealForward2PanicsOnBadDims(t *testing.T) {
 	}
 }
 
+func TestRealInverse2PanicsOnBadDims(t *testing.T) {
+	// The inverse checks its dimensions up front, as the forward does,
+	// rather than leaving it to a transform part-way through.
+	for _, tc := range []struct {
+		w, h, dstLen, k int
+	}{
+		{6, 4, 24, 3}, // non-pow2 width
+		{4, 6, 24, 2}, // non-pow2 height
+		{6, 1, 6, 3},  // non-pow2 single row
+		{8, 8, 32, 4}, // wrong destination length
+		{8, 8, 64, 5}, // band wider than the half-spectrum
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RealInverse2Into(%dx%d, %d px, band %d) did not panic", tc.w, tc.h, tc.dstLen, tc.k)
+				}
+			}()
+			hs := &Half2{FullW: tc.w, Grid2: Grid2{W: HalfW(tc.w), H: tc.h, Data: make([]complex128, HalfW(tc.w)*tc.h)}}
+			RealInverse2Into(make([]float64, tc.dstLen), hs, tc.k, nil)
+		}()
+	}
+	for n := range planSizes() {
+		if !IsPow2(n) {
+			t.Errorf("plan cache holds length %d, not a power of two", n)
+		}
+	}
+}
+
 // bandSizes are the real-field dimensions the band tests sweep: square
 // rasters up to the default 512 px, one single-row field (the unpaired
 // path) and one rectangular field.

@@ -31,8 +31,8 @@ func poolIn(m *sync.Map, n int) *sync.Pool {
 
 // GetGrid returns a w×h grid from the free pool, allocating only on a
 // pool miss. The contents are unspecified — callers must overwrite
-// every element (transforms and transposes do). Return the
-// grid with PutGrid once it is no longer referenced.
+// every element. Return the grid with PutGrid once it is no longer
+// referenced.
 func GetGrid(w, h int) *Grid2 {
 	if v := poolIn(&gridPools, w*h).Get(); v != nil {
 		g := v.(*Grid2)

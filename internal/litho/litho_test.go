@@ -2,6 +2,9 @@ package litho
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"cardopc/internal/fft"
@@ -220,6 +223,33 @@ func BenchmarkAerial256(b *testing.B) {
 	}
 }
 
+// steadyState warms the fft pools for benchmark b, turns the GC off for
+// the rest of it and resets the timer. A GC empties those pools and the
+// next calls refill them, so with it on a pooled benchmark's B/op swings
+// with when collections happen to fall; with it off B/op counts only
+// what a warm call allocates, as core's TestStepSteadyStateBytes does.
+// The pools are per P, and a P's private slot is invisible to the
+// others, so a serial warm-up leaves the Ps it never ran on cold: warm
+// runs on GOMAXPROCS goroutines at a time, four rounds, each call with
+// its own output, so every P has drawn and returned the call's scratch
+// before the timer starts.
+func steadyState(b *testing.B, warm func()) {
+	old := debug.SetGCPercent(-1)
+	b.Cleanup(func() { debug.SetGCPercent(old) })
+	for range 4 {
+		var wg sync.WaitGroup
+		for range runtime.GOMAXPROCS(0) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				warm()
+			}()
+		}
+		wg.Wait()
+	}
+	b.ResetTimer()
+}
+
 // BenchmarkGradient256 measures the adjoint gradient evaluation — the
 // other half of every OPC/ILT iteration next to BenchmarkAerial256, and
 // part of the tracked set gated by cmd/benchdiff.
@@ -236,8 +266,7 @@ func BenchmarkGradient256(b *testing.B) {
 		G[i] = 2 * (v - 0.5)
 	}
 	grad := make([]float64, len(G))
-	s.GradientFromCacheInto(grad, cache, G) // warm the pools
-	b.ResetTimer()
+	steadyState(b, func() { s.GradientFromCacheInto(make([]float64, len(G)), cache, G) })
 	for i := 0; i < b.N; i++ {
 		s.GradientFromCacheInto(grad, cache, G)
 	}
@@ -250,10 +279,8 @@ func BenchmarkMaskFreqReal(b *testing.B) {
 	cfg := DefaultConfig()
 	g := raster.Grid{Size: cfg.GridSize, Pitch: cfg.PitchNM}
 	mask := maskWithRect(g, geom.Rect{Min: geom.P(874, 874), Max: geom.P(1474, 1474)})
-	mf := fft.GetGrid(mask.Size, mask.Size)
-	defer fft.PutGrid(mf)
-	MaskFreqInto(mf, mask)
-	b.ResetTimer()
+	mf := fft.NewGrid2(mask.Size, mask.Size)
+	steadyState(b, func() { MaskFreqInto(fft.NewGrid2(mask.Size, mask.Size), mask) })
 	for i := 0; i < b.N; i++ {
 		MaskFreqInto(mf, mask)
 	}

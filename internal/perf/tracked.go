@@ -29,7 +29,8 @@ type Tracked struct {
 }
 
 // TrackedSet returns the curated hot-path set, one entry per package:
-// FFT transforms (the litho inner loop, complex and real-input), aerial
+// FFT transforms (complex and real-input, and the 64² kernel transform
+// the SOCS sweep runs 23 times per imaging call), aerial
 // image + adjoint gradient (the OPC/ILT cost evaluation) plus the
 // three-corner process window and the half-spectrum mask transform,
 // raster fill and marching squares (mask ↔ field conversion), R-tree
@@ -43,7 +44,7 @@ func TrackedSet() []Tracked {
 	return []Tracked{
 		{Pkg: "./internal/analysis", Pattern: "^(BenchmarkVetCold|BenchmarkVetWarm|BenchmarkVetDataflow|BenchmarkVetInterproc)$"},
 		{Pkg: "./internal/obs", Pattern: "^BenchmarkEmitScoped$"},
-		{Pkg: "./internal/fft", Pattern: "^(BenchmarkForward1024|BenchmarkForward2_256|BenchmarkRealForward2_256)$"},
+		{Pkg: "./internal/fft", Pattern: "^(BenchmarkForward1024|BenchmarkForward2_256|BenchmarkRealForward2_256|BenchmarkInverse2_64)$"},
 		{Pkg: "./internal/litho", Pattern: "^(BenchmarkAerial256|BenchmarkGradient256|BenchmarkAerialAll512|BenchmarkMaskFreqReal)$"},
 		{Pkg: "./internal/raster", Pattern: "^(BenchmarkFillPolygon|BenchmarkMarchingSquares)$"},
 		{Pkg: "./internal/rtree", Pattern: "^(BenchmarkSTRBuild1000|BenchmarkSearch1000)$"},
