@@ -11,7 +11,7 @@ BENCH_CPU ?= 4
 # BENCH_COUNT runs are what benchdiff compares (>= 3 for a useful median).
 BENCH_COUNT ?= 5
 
-.PHONY: all build test test-pooldebug vet vet-fast vet-repro race bench bench-record bench-check bench-trend serve loadtest soak
+.PHONY: all build test test-pooldebug vet race bench bench-record bench-check bench-trend serve loadtest soak
 
 all: build vet test
 
@@ -33,33 +33,15 @@ test:
 test-pooldebug:
 	$(GO) test -tags cardopc_pooldebug ./internal/fft/ ./internal/server/ ./internal/litho/ ./internal/core/
 
-# go vet plus the repo's own analyzer suite over every package —
-# including the dataflow passes (poolcheck, noalloc, obsguard) and the
-# interprocedural passes (ctxflow, lockcheck, nonblock, and
-# summary-powered poolcheck). Cold: the whole module is re-type-checked
-# every run.
+# go vet over both modules (cmd/cardopc-bench is its own) plus the
+# repo's own analyzer suite over every package — including the dataflow
+# passes (poolcheck, noalloc, obsguard) and the interprocedural passes
+# (ctxflow, nonblock, and summary-powered poolcheck). The whole module
+# is type-checked every run.
 vet:
 	$(GO) vet ./...
+	$(GO) -C cmd/cardopc-bench vet ./...
 	$(GO) run ./cmd/cardopc-vet ./...
-
-# Incremental analyzer run for the edit loop: the same full suite as
-# `make vet` (every analyzer registered in All(), dataflow and
-# interprocedural passes included), but unchanged packages are served
-# from .cardopc-vet-cache, so only edited packages (and their
-# dependents) pay for type-checking.
-vet-fast:
-	$(GO) run ./cmd/cardopc-vet -incremental -timings ./...
-
-# Cold/warm reproducibility check, same as CI's "cold vs incremental
-# diagnostics diff" step: an incremental run (whatever hit/miss mix the
-# local cache produces) must emit byte-identical JSON diagnostics to a
-# from-scratch run against an empty cache. Catches interprocedural
-# summary cache-key bugs.
-vet-repro:
-	$(GO) run ./cmd/cardopc-vet -incremental -json ./... > .vet-incr.json
-	$(GO) run ./cmd/cardopc-vet -incremental -cache-dir "$$(mktemp -d)" -json ./... > .vet-cold.json
-	cmp .vet-incr.json .vet-cold.json && echo "ok: cold and incremental diagnostics are byte-identical"
-	rm -f .vet-incr.json .vet-cold.json
 
 # Race-detector pass over the whole module. Slow (the parallel
 # aerial/gradient reductions dominate); run before merging anything that

@@ -1,11 +1,12 @@
 // Command cardopc-vet runs CardOPC's project-specific static-analysis
 // suite (internal/analysis) over the module — syntactic passes
-// (floatcmp, nanguard, loopcapture, mutexcopy, errcheck-lite, bufalias,
-// unitcheck, detorder, goleak), the CFG-based dataflow passes
-// (poolcheck, noalloc, obsguard), and the interprocedural passes built
-// on the module call graph and per-function summaries (ctxflow,
-// lockcheck, nonblock; poolcheck also consults the summaries to follow
-// pooled values through helpers). It is the same gate
+// (floatcmp, nanguard, errcheck-lite, bufalias, unitcheck, detorder),
+// the CFG-based dataflow passes (poolcheck, noalloc, obsguard), and the
+// interprocedural passes built on the module call graph and
+// per-function summaries (ctxflow, nonblock; poolcheck also consults
+// the summaries to follow pooled values through helpers). Every run
+// loads and type-checks the whole module, runs the suite and filters
+// the result through the allowlist. It is the same gate
 // selfcheck_test.go enforces under `go test ./...`, exposed as a
 // binary so CI and humans share one tool.
 //

@@ -2,7 +2,8 @@
 // a package loader built on the stdlib go/ast, go/parser, go/token and
 // go/types packages (no external dependencies), a small analyzer-driver
 // API, and a suite of project-specific analyzers that machine-check the
-// numeric and concurrency invariants the OPC hot paths depend on.
+// numeric, unit, pool and allocation invariants the OPC hot paths
+// depend on.
 //
 // The framework exists because mask-optimization kernels fail quietly:
 // a NaN from a negative Sqrt argument propagates through an EPE sum
@@ -10,8 +11,10 @@
 // images only under parallel load. cardopc-vet turns those classes of
 // bug into build-time diagnostics.
 //
-// Analyzers report Diagnostics; intentional exceptions are recorded
-// either inline (`//cardopc:allow <analyzer> reason`) or in an
+// Every run takes one path: LoadModule parses and type-checks the whole
+// module, Run applies the analyzers, and an Allowlist filters what they
+// report. Analyzers report Diagnostics; intentional exceptions are
+// recorded either inline (`//cardopc:allow <analyzer> reason`) or in an
 // allowlist file (see Allowlist). selfcheck_test.go runs the full suite
 // over the module on every `go test ./...`, so the gate cannot rot.
 package analysis
@@ -22,7 +25,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"time"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -82,18 +84,14 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,
 		NaNGuard,
-		LoopCapture,
-		MutexCopy,
 		ErrCheckLite,
 		BufAlias,
 		UnitCheck,
 		DetOrder,
-		GoLeak,
 		PoolCheck,
 		NoAlloc,
 		ObsGuard,
 		CtxFlow,
-		LockCheck,
 		NonBlock,
 	}
 }
@@ -109,40 +107,20 @@ func ByName(name string) (*Analyzer, bool) {
 }
 
 // Run applies each analyzer to each package and returns the combined
-// diagnostics sorted by position. Inline `//cardopc:allow` directives
-// are honoured here; file-based allowlisting is applied separately so
-// callers can distinguish suppressed findings from absent ones.
+// diagnostics sorted by position. Each package's inline
+// `//cardopc:allow` directives are honoured here (a directive only
+// suppresses diagnostics in its own file, so per-package filtering is
+// exact); file-based allowlisting is applied separately so callers can
+// distinguish suppressed findings from absent ones.
 func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	return RunTimed(mod, analyzers, nil)
-}
-
-// RunTimed is Run with optional wall-time accounting: when tm is
-// non-nil, per-analyzer and per-package durations accumulate into it.
-func RunTimed(mod *Module, analyzers []*Analyzer, tm *Timings) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range mod.Pkgs {
-		diags = append(diags, RunPackage(mod, pkg, analyzers, tm)...)
+		var pkgDiags []Diagnostic
+		for _, a := range analyzers {
+			a.Run(&Pass{Analyzer: a, Fset: mod.Fset, Pkg: pkg, Mod: mod, diags: &pkgDiags})
+		}
+		diags = append(diags, filterInlineAllows(mod, pkg, pkgDiags)...)
 	}
-	sortDiagnostics(diags)
-	return diags
-}
-
-// RunPackage applies the analyzers to one package of mod and returns
-// its diagnostics with that package's inline //cardopc:allow directives
-// already filtered out (directives suppress diagnostics in the file
-// they sit in, so package granularity loses nothing). The result is the
-// per-package unit the incremental cache stores.
-func RunPackage(mod *Module, pkg *Package, analyzers []*Analyzer, tm *Timings) []Diagnostic {
-	var diags []Diagnostic
-	pkgStart := time.Now()
-	for _, a := range analyzers {
-		start := time.Now()
-		pass := &Pass{Analyzer: a, Fset: mod.Fset, Pkg: pkg, Mod: mod, diags: &diags}
-		a.Run(pass)
-		tm.addAnalyzer(a.Name, time.Since(start))
-	}
-	tm.addPackage(pkg.Path, time.Since(pkgStart), false)
-	diags = filterInlineAllows(mod, pkg, diags)
 	sortDiagnostics(diags)
 	return diags
 }

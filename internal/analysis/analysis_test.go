@@ -19,19 +19,43 @@ var fixtureCases = []struct {
 }{
 	{FloatCmp, "floatcmp"},
 	{NaNGuard, "nanguard"},
-	{LoopCapture, "loopcapture"},
-	{MutexCopy, "mutexcopy"},
 	{ErrCheckLite, "errchecklite"},
 	{BufAlias, "bufalias"},
 	{UnitCheck, "unitcheck"},
 	{DetOrder, "detorder"},
-	{GoLeak, "goleak"},
 	{PoolCheck, "poolcheck"},
 	{NoAlloc, "noalloc"},
 	{ObsGuard, "obsguard"},
 	{CtxFlow, "ctxflow"},
-	{LockCheck, "lockcheck"},
 	{NonBlock, "nonblock"},
+}
+
+// TestFixtureCasesMatchSuite ties the fixture table to the registry:
+// fixtureCases lists exactly the analyzers of All(), in order, and every
+// testdata/src directory belongs to one of them, so an analyzer cannot
+// be registered without fixtures nor retired with its fixtures left
+// behind.
+func TestFixtureCasesMatchSuite(t *testing.T) {
+	all := All()
+	if len(fixtureCases) != len(all) {
+		t.Fatalf("fixtureCases has %d rows, All() has %d analyzers", len(fixtureCases), len(all))
+	}
+	dirs := map[string]bool{}
+	for i, tc := range fixtureCases {
+		if tc.analyzer != all[i] {
+			t.Errorf("fixtureCases[%d] is %s, All()[%d] is %s", i, tc.analyzer.Name, i, all[i].Name)
+		}
+		dirs[tc.dir] = true
+	}
+	ents, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !dirs[e.Name()] {
+			t.Errorf("testdata/src/%s belongs to no registered analyzer", e.Name())
+		}
+	}
 }
 
 var wantRe = regexp.MustCompile(`// want "([^"]*)"`)
@@ -130,4 +154,59 @@ func wantPositions(wants []wantAt) string {
 	}
 	sort.Strings(ps)
 	return strings.Join(ps, " ")
+}
+
+// writeModule lays out a throwaway module under dir: files maps
+// slash-separated paths (go.mod included) to their contents.
+func writeModule(t testing.TB, dir string, files map[string]string) {
+	t.Helper()
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// writeFixtureModule lays out a tiny two-package module: package a trips
+// floatcmp, package b imports a and trips detorder. Importing fmt makes
+// the load go through the stdlib source importer, as a real module's
+// does.
+func writeFixtureModule(t testing.TB, dir string) {
+	t.Helper()
+	writeModule(t, dir, map[string]string{
+		"go.mod": "module fixturemod\n\ngo 1.22\n",
+		"a/a.go": `package a
+
+import "fmt"
+
+func Eq(x, y float64) bool { return x == y }
+
+func Show(x float64) string { return fmt.Sprintf("%v", x) }
+`,
+		"b/b.go": `package b
+
+import "fixturemod/a"
+
+func Keys(m map[string]float64) []string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	return ks
+}
+
+func AnyZero(m map[string]float64) bool {
+	for _, v := range m {
+		if a.Eq(v, 0) {
+			return true
+		}
+	}
+	return false
+}
+`,
+	})
 }

@@ -1,50 +1,9 @@
 package analysis
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 )
-
-// BenchmarkVetCold measures a from-scratch incremental run over the
-// two-package fixture module: full parse, stdlib source import,
-// type-check, all analyzers, cache write. This is the per-package cost
-// every cache miss pays.
-func BenchmarkVetCold(b *testing.B) {
-	dir := b.TempDir()
-	writeFixtureModule(b, dir)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cacheDir := filepath.Join(dir, fmt.Sprintf("cache-%d", i))
-		b.StartTimer()
-		if _, err := RunIncremental(dir, cacheDir, All(), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVetWarm measures the all-hit path over the same module:
-// hash every file, read the cached entries, skip parsing and
-// type-checking entirely. The cold/warm ratio is the cache's value.
-func BenchmarkVetWarm(b *testing.B) {
-	dir := b.TempDir()
-	writeFixtureModule(b, dir)
-	cacheDir := filepath.Join(dir, "cache")
-	if _, err := RunIncremental(dir, cacheDir, All(), nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := RunIncremental(dir, cacheDir, All(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Misses != 0 {
-			b.Fatalf("warm run missed %d package(s)", res.Misses)
-		}
-	}
-}
 
 // BenchmarkVetInterproc measures the interprocedural layer in
 // isolation: call-graph construction (type-resolved edges, interface
@@ -54,7 +13,7 @@ func BenchmarkVetWarm(b *testing.B) {
 // top of the per-package dataflow cost.
 func BenchmarkVetInterproc(b *testing.B) {
 	var mods []*Module
-	for _, name := range []string{"poolcheck", "ctxflow", "lockcheck", "nonblock"} {
+	for _, name := range []string{"poolcheck", "ctxflow", "nonblock"} {
 		mod, err := LoadDir(filepath.Join("testdata", "src", name), name)
 		if err != nil {
 			b.Fatal(err)
@@ -78,7 +37,7 @@ func BenchmarkVetInterproc(b *testing.B) {
 // noalloc, obsguard) over their own fixture packages, loaded and
 // type-checked once outside the loop: pure analysis cost — CFG
 // construction plus dataflow fixpoint plus reporting — which is the
-// marginal price the dataflow layer added to every cache miss.
+// marginal price the dataflow layer adds to every run.
 func BenchmarkVetDataflow(b *testing.B) {
 	dataflow := []*Analyzer{PoolCheck, NoAlloc, ObsGuard}
 	var mods []*Module

@@ -10,9 +10,9 @@ import (
 // buildTagIncluded reports whether a source file belongs to the default
 // build configuration — the one `go build` with no -tags flag compiles
 // on this host. Files excluded by a //go:build (or legacy // +build)
-// constraint are skipped by the loader AND by the incremental scanner,
-// so a tag-gated file pair (pooldebug.go / pooldebug_off.go) never
-// redeclares symbols during type-checking and never skews cache keys.
+// constraint are skipped by the loader, so a tag-gated file pair
+// (pooldebug.go / pooldebug_off.go) never redeclares symbols during
+// type-checking.
 //
 // Tag evaluation is deliberately minimal: the host GOOS/GOARCH, the gc
 // toolchain and every released go1.N language version are true; every

@@ -10,8 +10,8 @@ import (
 // layer (summary.go) runs on. Nodes are the module's declared
 // functions and methods; edges are the calls that can execute
 // *synchronously* as part of a call to the caller — the property every
-// summary bit (blocks, checks ctx, releases pooled params, locks
-// receiver mutex) is defined over.
+// summary bit (blocks, checks ctx, releases pooled params) is defined
+// over.
 //
 // Callee resolution:
 //
@@ -21,20 +21,18 @@ import (
 //     concrete type declared in the calling package's intra-module
 //     import closure whose method set satisfies the interface
 //     contributes its method as a possible callee. Restricting CHA to
-//     the import closure keeps resolution identical whether the module
-//     was loaded whole (cardopc-vet cold) or as a miss subset
-//     (-incremental), which is what makes cached summaries
-//     reproducible.
+//     the import closure makes a package's summaries depend only on
+//     the packages it imports, never on its importers.
 //   - Func-value calls (locals, fields, parameters of function type)
 //     and function literals passed as values have no node: they
 //     contribute no edges and therefore no summary bits. This is the
 //     conservative *non-reporting* direction — an unknown callee is
-//     assumed to not block, not lock and not retain pooled arguments —
+//     assumed to not block and not retain pooled arguments —
 //     and is the documented soundness caveat of the layer.
 //   - `go f(...)` and `go func(){...}()` contribute no edges either:
 //     launching a goroutine does not block the caller, and the spawned
-//     body runs on another activation. Intra-procedural analyzers
-//     (goleak, poolcheck's goroutine-capture rule) cover the spawned
+//     body runs on another activation. Intra-procedural rules
+//     (poolcheck's goroutine-capture rule, bufalias) cover the spawned
 //     side.
 //
 // SCCs are computed with Tarjan's algorithm and come out bottom-up

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // DefaultAllowlistName is the allowlist file cardopc-vet picks up from
@@ -24,13 +23,10 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cardopc-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut     = fs.Bool("json", false, "emit diagnostics as a JSON array")
-		only        = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		allowPath   = fs.String("allowlist", "", "allowlist file (default: <module root>/"+DefaultAllowlistName+" when present)")
-		list        = fs.Bool("analyzers", false, "list available analyzers and exit")
-		incremental = fs.Bool("incremental", false, "serve unchanged packages from the analysis cache; re-analyze only edited ones")
-		cacheDir    = fs.String("cache-dir", "", "incremental cache directory (default: <module root>/"+DefaultCacheDirName+")")
-		timings     = fs.Bool("timings", false, "print per-analyzer and per-package wall time to stderr")
+		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array")
+		only      = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		allowPath = fs.String("allowlist", "", "allowlist file (default: <module root>/"+DefaultAllowlistName+" when present)")
+		list      = fs.Bool("analyzers", false, "list available analyzers and exit")
 	)
 	fs.Usage = func() {
 		fprintf(stderr, "usage: cardopc-vet [flags] [dir]\n\nRuns the CardOPC static-analysis suite over the module containing dir\n(default \".\"). The conventional invocation is:\n\n\tgo run ./cmd/cardopc-vet ./...\n\nFlags:\n")
@@ -98,30 +94,12 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var tm *Timings
-	if *timings {
-		tm = &Timings{}
+	mod, err := LoadModule(root)
+	if err != nil {
+		fprintf(stderr, "cardopc-vet: %v\n", err)
+		return 2
 	}
-	start := time.Now()
-	var diags []Diagnostic
-	if *incremental {
-		res, err := RunIncremental(root, *cacheDir, analyzers, tm)
-		if err != nil {
-			fprintf(stderr, "cardopc-vet: %v\n", err)
-			return 2
-		}
-		diags = res.Diags
-	} else {
-		mod, err := LoadModule(root)
-		if err != nil {
-			fprintf(stderr, "cardopc-vet: %v\n", err)
-			return 2
-		}
-		diags = RunTimed(mod, analyzers, tm)
-	}
-	diags = allow.Filter(root, diags)
-	tm.SetTotal(time.Since(start))
-	tm.Fprint(stderr)
+	diags := allow.Filter(root, Run(mod, analyzers))
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -14,15 +14,10 @@ import (
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	files := map[string]string{
+	writeModule(t, dir, map[string]string{
 		"go.mod": "module smoketest\n\ngo 1.22\n",
 		"lib.go": "package lib\n\nfunc cmp(a, b float64) bool {\n\treturn a*2 == b\n}\n",
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	return dir
 }
 
@@ -92,47 +87,6 @@ func TestCLIListsAnalyzers(t *testing.T) {
 	}
 }
 
-func TestCLIIncrementalAndTimings(t *testing.T) {
-	dir := writeTempModule(t)
-	cache := filepath.Join(dir, "vetcache")
-	var out, errb strings.Builder
-	if code := CLIMain([]string{"-incremental", "-cache-dir=" + cache, "-timings", dir}, &out, &errb); code != 1 {
-		t.Fatalf("cold incremental exit = %d, want 1; stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "[floatcmp]") {
-		t.Errorf("cold incremental run lost the diagnostic:\n%s", out.String())
-	}
-	if !strings.Contains(errb.String(), "0/1 package(s) served from cache") {
-		t.Errorf("timings report missing cold cache line:\n%s", errb.String())
-	}
-
-	coldOut := out.String()
-	out.Reset()
-	errb.Reset()
-	if code := CLIMain([]string{"-incremental", "-cache-dir=" + cache, "-timings", dir}, &out, &errb); code != 1 {
-		t.Fatalf("warm incremental exit = %d, want 1", code)
-	}
-	if out.String() != coldOut {
-		t.Errorf("warm output diverges from cold:\n cold %s\n warm %s", coldOut, out.String())
-	}
-	if !strings.Contains(errb.String(), "1/1 package(s) served from cache") || !strings.Contains(errb.String(), "(cached)") {
-		t.Errorf("timings report missing warm cache lines:\n%s", errb.String())
-	}
-}
-
-func TestCLITimingsWithoutIncremental(t *testing.T) {
-	dir := writeTempModule(t)
-	var out, errb strings.Builder
-	if code := CLIMain([]string{"-timings", dir}, &out, &errb); code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	for _, want := range []string{"timings: total", "per analyzer:", "floatcmp", "per package:", "0/1 package(s) served from cache"} {
-		if !strings.Contains(errb.String(), want) {
-			t.Errorf("timings report missing %q:\n%s", want, errb.String())
-		}
-	}
-}
-
 func TestParseAllowlistRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "allow.txt")
@@ -143,5 +97,59 @@ func TestParseAllowlistRejectsGarbage(t *testing.T) {
 		if _, err := ParseAllowlist(p); err == nil {
 			t.Errorf("ParseAllowlist accepted %q", bad)
 		}
+	}
+}
+
+// TestAllowlistStale pins stale-entry detection: an allowlist entry
+// that suppresses a finding is in use, and once the violation is fixed
+// the same entry reads as stale.
+func TestAllowlistStale(t *testing.T) {
+	dir := t.TempDir()
+	writeFixtureModule(t, dir)
+	allowPath := filepath.Join(dir, DefaultAllowlistName)
+	if err := os.WriteFile(allowPath, []byte("detorder b/b.go # fixture exception\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	vet := func() *Allowlist {
+		t.Helper()
+		mod, err := LoadModule(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allow, err := ParseAllowlist(allowPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range allow.Filter(dir, Run(mod, All())) {
+			if d.Analyzer == "detorder" {
+				t.Errorf("allowlisted detorder diagnostic survived: %v", d)
+			}
+		}
+		return allow
+	}
+
+	if stale := vet().Stale(); len(stale) != 0 {
+		t.Fatalf("entry should have matched, got stale: %v", stale[0])
+	}
+
+	// Fix the violation: the entry no longer matches anything.
+	fixed := `package b
+
+import "fixturemod/a"
+
+func AnyZero(m map[string]float64) bool {
+	for _, v := range m {
+		if a.Eq(v, 0) {
+			return true
+		}
+	}
+	return false
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "b", "b.go"), []byte(fixed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if stale := vet().Stale(); len(stale) != 1 || stale[0].Analyzer != "detorder" {
+		t.Fatalf("want the detorder entry stale after the fix, got %v", stale)
 	}
 }

@@ -55,9 +55,10 @@ type Module struct {
 }
 
 // LoadModule parses and type-checks every non-test package under the
-// module rooted at root. Standard-library imports are resolved by the
-// stdlib source importer (type-checked from $GOROOT/src), so the loader
-// needs no compiled export data and no external tooling.
+// module rooted at root, in dependency order. Standard-library imports
+// are resolved by the stdlib source importer (type-checked from
+// $GOROOT/src), so the loader needs no compiled export data and no
+// external tooling.
 func LoadModule(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -71,37 +72,6 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadModuleDirs(root, modPath, dirs)
-}
-
-// LoadModuleSubset parses and type-checks only the packages in the given
-// directories (absolute, or relative to root). The set must be closed
-// under intra-module imports — every module dependency of a listed
-// package must itself be listed — or type-checking fails. The
-// incremental runner uses this to load cache misses plus their
-// dependency closure without paying for the rest of the module.
-func LoadModuleSubset(root string, dirs []string) (*Module, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	abs := make([]string, len(dirs))
-	for i, d := range dirs {
-		if !filepath.IsAbs(d) {
-			d = filepath.Join(root, d)
-		}
-		abs[i] = d
-	}
-	return loadModuleDirs(root, modPath, abs)
-}
-
-// loadModuleDirs parses the packages in dirs, topologically sorts them
-// by intra-module imports and type-checks them in that order.
-func loadModuleDirs(root, modPath string, dirs []string) (*Module, error) {
 	mod := &Module{Fset: token.NewFileSet(), Path: modPath, Root: root}
 	parsed := map[string]*Package{} // import path -> package
 	var order []string

@@ -8,10 +8,10 @@ import (
 )
 
 // This file computes per-function summaries bottom-up over the call
-// graph's SCCs. A summary is the small, cacheable abstraction of a
-// function's behaviour that the interprocedural analyzers (ctxflow,
-// lockcheck, the summary-powered poolcheck) consult at call sites
-// instead of re-walking callee bodies.
+// graph's SCCs. A summary is the small abstraction of a function's
+// behaviour that the interprocedural analyzers (ctxflow, nonblock, the
+// summary-powered poolcheck) consult at call sites instead of
+// re-walking callee bodies.
 //
 // All bits are defined over *synchronous* behaviour (see callgraph.go):
 // work a function performs on its caller's goroutine before returning.
@@ -21,76 +21,51 @@ import (
 
 // FuncSummary abstracts one function for interprocedural analysis. The
 // zero value is the sound default for an unknown callee: does not
-// block, does not consult a context, retains nothing, locks nothing.
+// block, does not consult a context, retains nothing.
 type FuncSummary struct {
-	// HasCtxParam records a context.Context parameter in the signature.
-	HasCtxParam bool `json:"has_ctx_param,omitempty"`
 	// ChecksCtx: the function consults a context — calls Err/Done/
 	// Deadline on a context value, or forwards a context to a callee
 	// that does (module callees by summary; callees outside the module
 	// are assumed to honour the contexts they are handed).
-	ChecksCtx bool `json:"checks_ctx,omitempty"`
+	ChecksCtx bool
 	// Blocks: the function may block the calling goroutine — a channel
 	// send/receive, a select without default, ranging over a channel,
 	// sync.WaitGroup.Wait / sync.Cond.Wait, time.Sleep, an http
 	// round-trip — directly or via a synchronous callee.
-	Blocks bool `json:"blocks,omitempty"`
+	Blocks bool
 	// BlockingLoop: the function contains a loop whose body blocks per
 	// iteration (directly or via a callee). This is the "unbounded
 	// iteration" shape cancellation exists for.
-	BlockingLoop bool `json:"blocking_loop,omitempty"`
+	BlockingLoop bool
 	// PooledResults lists result indices that carry a pool release
 	// obligation: the function returns a value acquired from
 	// fft.GetGrid/GetWorkspace/NewForwardCache (or from another
 	// pool-returning function), so the caller must release it.
-	PooledResults []int `json:"pooled_results,omitempty"`
+	PooledResults []int
 	// ReleasesParams lists parameter indices the function releases
 	// (PutGrid(p), p.Release(), or passing p to a releasing callee).
-	ReleasesParams []int `json:"releases_params,omitempty"`
+	ReleasesParams []int
 	// EscapesParams lists parameter indices the function retains beyond
 	// the call: stored into a field, global, container or composite
 	// literal, sent on a channel, or captured by a spawned goroutine.
-	EscapesParams []int `json:"escapes_params,omitempty"`
+	EscapesParams []int
 	// ReleasesRecvHeld: the method releases pooled values reachable
 	// from its receiver (the ForwardCache.Release shape). A type with
 	// such a method is a legitimate owner for pooled stores.
-	ReleasesRecvHeld bool `json:"releases_recv_held,omitempty"`
-	// LocksRecvFields lists receiver mutex field paths ("mu",
-	// "state.mu") the function acquires — possibly transiently, and
-	// possibly via a same-receiver callee. lockcheck uses it to flag
-	// re-entrant acquisition through a call.
-	LocksRecvFields []string `json:"locks_recv_fields,omitempty"`
-	// LocksGlobals lists package-level mutexes ("pkgpath.varname") the
-	// function acquires, transitively.
-	LocksGlobals []string `json:"locks_globals,omitempty"`
+	ReleasesRecvHeld bool
 }
 
 func (s *FuncSummary) equal(o *FuncSummary) bool {
-	return s.HasCtxParam == o.HasCtxParam &&
-		s.ChecksCtx == o.ChecksCtx &&
+	return s.ChecksCtx == o.ChecksCtx &&
 		s.Blocks == o.Blocks &&
 		s.BlockingLoop == o.BlockingLoop &&
 		s.ReleasesRecvHeld == o.ReleasesRecvHeld &&
 		intsEqual(s.PooledResults, o.PooledResults) &&
 		intsEqual(s.ReleasesParams, o.ReleasesParams) &&
-		intsEqual(s.EscapesParams, o.EscapesParams) &&
-		stringsEqual(s.LocksRecvFields, o.LocksRecvFields) &&
-		stringsEqual(s.LocksGlobals, o.LocksGlobals)
+		intsEqual(s.EscapesParams, o.EscapesParams)
 }
 
 func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func stringsEqual(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -127,24 +102,6 @@ func (ip *Interproc) SummaryOf(fn *types.Func) *FuncSummary {
 		return nil
 	}
 	return ip.summaries[fn]
-}
-
-// PackageSummaries returns the summaries of pkg's functions keyed by
-// go/types FullName, the shape the incremental cache persists.
-func (ip *Interproc) PackageSummaries(pkg *Package) map[string]FuncSummary {
-	var out map[string]FuncSummary
-	for _, node := range ip.Graph.Funcs {
-		if node.Pkg != pkg {
-			continue
-		}
-		if s := ip.summaries[node.Obj]; s != nil {
-			if out == nil {
-				out = map[string]FuncSummary{}
-			}
-			out[node.Obj.FullName()] = *s
-		}
-	}
-	return out
 }
 
 // CallBlocks reports whether any resolved callee of call may block.
@@ -334,78 +291,6 @@ func recvTypeName(t types.Type) string {
 	return "?"
 }
 
-// mutexOp classifies a call as a mutex operation on a trackable lock
-// path: Lock/Unlock/RLock/RUnlock declared in package sync, addressed
-// through a chain of plain selectors rooted at an identifier
-// (`mu.Lock()`, `j.mu.Lock()`, `s.state.mu.RLock()`).
-type mutexOp struct {
-	op   string       // "lock", "unlock", "rlock", "runlock"
-	root types.Object // the root identifier's object
-	path string       // dotted field path from root to the mutex; "" for a bare mutex variable
-}
-
-func classifyMutexOp(info *types.Info, call *ast.CallExpr) (mutexOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
-		return mutexOp{}, false
-	}
-	var op string
-	switch sel.Sel.Name {
-	case "Lock":
-		op = "lock"
-	case "Unlock":
-		op = "unlock"
-	case "RLock":
-		op = "rlock"
-	case "RUnlock":
-		op = "runlock"
-	default:
-		return mutexOp{}, false
-	}
-	s, ok := info.Selections[sel]
-	if !ok {
-		return mutexOp{}, false
-	}
-	fn, ok := s.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return mutexOp{}, false
-	}
-	root, path, ok := selectorPath(info, sel.X)
-	if !ok {
-		return mutexOp{}, false
-	}
-	return mutexOp{op: op, root: root, path: path}, true
-}
-
-// selectorPath resolves a plain selector chain (x, x.mu, x.state.mu) to
-// its root object and dotted field path. Anything else — index
-// expressions, calls, dereferences of computed values — is untrackable.
-func selectorPath(info *types.Info, e ast.Expr) (types.Object, string, bool) {
-	var fields []string
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := info.ObjectOf(x)
-			if obj == nil {
-				return nil, "", false
-			}
-			path := ""
-			for i := len(fields) - 1; i >= 0; i-- {
-				if path != "" {
-					path += "."
-				}
-				path += fields[i]
-			}
-			return obj, path, true
-		case *ast.SelectorExpr:
-			fields = append(fields, x.Sel.Name)
-			e = x.X
-		default:
-			return nil, "", false
-		}
-	}
-}
-
 // exprRootObj unwraps selectors, indexing, stars and parens to the
 // base identifier's object, or nil.
 func exprRootObj(info *types.Info, e ast.Expr) types.Object {
@@ -456,11 +341,7 @@ func (ip *Interproc) computeSummary(node *FuncNode) *FuncSummary {
 	params := sig.Params()
 	paramIndex := map[types.Object]int{}
 	for i := 0; i < params.Len(); i++ {
-		p := params.At(i)
-		paramIndex[p] = i
-		if isCtxType(p.Type()) {
-			s.HasCtxParam = true
-		}
+		paramIndex[params.At(i)] = i
 	}
 	var recvObj types.Object
 	if sig.Recv() != nil {
@@ -504,8 +385,6 @@ func (ip *Interproc) computeSummary(node *FuncNode) *FuncSummary {
 		recvDeriv:  map[types.Object]bool{recvObj: true},
 		goCalls:    map[*ast.CallExpr]bool{},
 		goEscapes:  map[int]bool{},
-		locksRecv:  map[string]bool{},
-		locksGlob:  map[string]bool{},
 		relParams:  map[int]bool{},
 		escParams:  map[int]bool{},
 		pooledRes:  map[int]bool{},
@@ -528,8 +407,6 @@ type summaryWalker struct {
 	goCalls    map[*ast.CallExpr]bool
 	goEscapes  map[int]bool // params captured by spawned goroutines
 	sawWait    bool         // a sync.WaitGroup.Wait fences those captures
-	locksRecv  map[string]bool
-	locksGlob  map[string]bool
 	relParams  map[int]bool
 	escParams  map[int]bool
 	pooledRes  map[int]bool
@@ -607,8 +484,6 @@ func (w *summaryWalker) finish() {
 	w.s.PooledResults = sortedKeys(w.pooledRes)
 	w.s.ReleasesParams = sortedKeys(w.relParams)
 	w.s.EscapesParams = sortedKeys(w.escParams)
-	w.s.LocksRecvFields = sortedStrKeys(w.locksRecv)
-	w.s.LocksGlobals = sortedStrKeys(w.locksGlob)
 }
 
 func sortedKeys(m map[int]bool) []int {
@@ -620,18 +495,6 @@ func sortedKeys(m map[int]bool) []int {
 		out = append(out, k)
 	}
 	sort.Ints(out)
-	return out
-}
-
-func sortedStrKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -828,11 +691,6 @@ func (w *summaryWalker) trackCall(call *ast.CallExpr) {
 			}
 		}
 	}
-	// Mutex operations on trackable paths.
-	if op, ok := classifyMutexOp(info, call); ok && (op.op == "lock" || op.op == "rlock") {
-		w.recordLock(op)
-	}
-
 	callees := w.ip.Graph.ResolveCallees(w.node.Pkg, call)
 	resolvedModule := false
 	for _, fn := range callees {
@@ -890,21 +748,14 @@ func (w *summaryWalker) trackCall(call *ast.CallExpr) {
 		if s.Blocks {
 			w.s.Blocks = true
 		}
-		// Same-receiver method call: its receiver locks are ours.
-		if w.recvObj != nil {
+		// Same-receiver method call: what it releases from the
+		// receiver, we release.
+		if s.ReleasesRecvHeld && w.recvObj != nil {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if root, path, ok := selectorPath(info, sel.X); ok && path == "" && root == w.recvObj {
-					for _, f := range s.LocksRecvFields {
-						w.locksRecv[f] = true
-					}
-					if s.ReleasesRecvHeld {
-						w.s.ReleasesRecvHeld = true
-					}
+				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && info.ObjectOf(id) == w.recvObj {
+					w.s.ReleasesRecvHeld = true
 				}
 			}
-		}
-		for _, g := range s.LocksGlobals {
-			w.locksGlob[g] = true
 		}
 		// Param forwarding: f(p) where f releases or escapes that
 		// parameter position.
@@ -933,25 +784,6 @@ func (w *summaryWalker) trackCall(call *ast.CallExpr) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func (w *summaryWalker) recordLock(op mutexOp) {
-	switch root := op.root.(type) {
-	case *types.Var:
-		if root == w.recvObj && op.path != "" {
-			w.locksRecv[op.path] = true
-			return
-		}
-		if root.Parent() == w.node.Pkg.Types.Scope() {
-			name := op.path
-			if name == "" {
-				name = root.Name()
-			} else {
-				name = root.Name() + "." + name
-			}
-			w.locksGlob[w.node.Pkg.Path+"."+name] = true
 		}
 	}
 }

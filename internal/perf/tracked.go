@@ -35,14 +35,15 @@ type Tracked struct {
 // three-corner process window and the half-spectrum mask transform,
 // raster fill and marching squares (mask ↔ field conversion), R-tree
 // build/search (MRC neighbour queries), spline evaluation
-// (control-point connection), MRC resolve, the cardopc-vet driver cold
-// vs warm-cache (the CI gate's own latency), scoped telemetry emission
+// (control-point connection), MRC resolve, the cardopc-vet dataflow
+// and interprocedural layers (the CI gate's own analysis cost, without
+// the stdlib type-check that dominates a run), scoped telemetry emission
 // (the per-record price on cardopcd's emit path, disabled and enabled),
 // and the cardopcd service round-trip (submit → poll → done on a warm
 // daemon, reporting req/s and p99-ms alongside ns/op).
 func TrackedSet() []Tracked {
 	return []Tracked{
-		{Pkg: "./internal/analysis", Pattern: "^(BenchmarkVetCold|BenchmarkVetWarm|BenchmarkVetDataflow|BenchmarkVetInterproc)$"},
+		{Pkg: "./internal/analysis", Pattern: "^(BenchmarkVetDataflow|BenchmarkVetInterproc)$"},
 		{Pkg: "./internal/obs", Pattern: "^BenchmarkEmitScoped$"},
 		{Pkg: "./internal/fft", Pattern: "^(BenchmarkForward1024|BenchmarkForward2_256|BenchmarkRealForward2_256|BenchmarkInverse2_64)$"},
 		{Pkg: "./internal/litho", Pattern: "^(BenchmarkAerial256|BenchmarkGradient256|BenchmarkAerialAll512|BenchmarkMaskFreqReal)$"},
