@@ -4,14 +4,15 @@
 GO ?= go
 
 # Every bench target pins GOMAXPROCS via -cpu so numbers stay comparable
-# across laptops and CI runners; the value is recorded in the baseline's
-# environment fingerprint.
+# across laptops and CI runners.
 BENCH_CPU ?= 4
-# Samples per benchmark for the tracked-set targets; medians over
+# Samples per benchmark and tree for bench-check; medians over
 # BENCH_COUNT runs are what benchdiff compares (>= 3 for a useful median).
 BENCH_COUNT ?= 5
+# The git revision bench-check measures the working tree against.
+BENCH_BASE ?= HEAD
 
-.PHONY: all build test test-pooldebug vet race bench bench-record bench-check bench-trend serve loadtest soak
+.PHONY: all build test test-pooldebug vet race bench bench-check serve loadtest soak
 
 all: build vet test
 
@@ -56,21 +57,12 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu $(BENCH_CPU) ./...
 
-# Re-record BENCH_BASELINE.json from the tracked hot-path set and append
-# a per-commit snapshot to bench_history/. Run this deliberately — on
-# the reference machine, after an intentional perf change — and commit
-# both the baseline and the new BENCH_<sha>.json.
-bench-record:
-	$(GO) run ./cmd/benchdiff record -count $(BENCH_COUNT) -cpu $(BENCH_CPU) -history-dir bench_history
-
-# Render the recorded per-commit benchmark history as a markdown table.
-bench-trend:
-	$(GO) run ./cmd/benchdiff trend
-
-# Compare a fresh tracked-set run against BENCH_BASELINE.json; non-zero
-# exit on a regression beyond tolerance. Same gate CI's bench job runs.
+# Run the tracked hot-path set in the working tree and in BENCH_BASE's
+# tree, alternating, and compare; non-zero exit on a regression beyond
+# tolerance or a vanished benchmark. Same gate CI's bench job runs
+# (there against HEAD~1).
 bench-check:
-	$(GO) run ./cmd/benchdiff check -count $(BENCH_COUNT) -cpu $(BENCH_CPU)
+	$(GO) run ./cmd/benchdiff check -base $(BENCH_BASE) -count $(BENCH_COUNT) -cpu $(BENCH_CPU)
 
 # --- cardopcd service targets ---
 

@@ -1,39 +1,34 @@
-// Command benchdiff records and gates the repo's tracked hot-path
-// benchmarks against the committed baseline (BENCH_BASELINE.json).
+// Command benchdiff gates the repo's tracked hot-path benchmarks: it
+// measures the working tree beside a git revision on the same host, in
+// the same run, and fails when the change is slower or allocates more.
 //
-// Subcommands:
+//	benchdiff check [-base REV] [-count N] [-cpu N] [-bench-out F] [-json-out F] [-md-out F]
 //
-//	benchdiff record [flags]   run the tracked set (or ingest -input) and
-//	                           write the baseline
-//	benchdiff check  [flags]   run the tracked set (or ingest -input),
-//	                           compare against the baseline, print the
-//	                           report; exit 0 ok / 1 regression / 2 error
-//	benchdiff report [flags]   like check but never gates: renders text
-//	                           (default), -json, or -md and exits 0
-//	benchdiff trend  [flags]   render the per-commit snapshot history
-//	                           (bench_history/BENCH_<sha>.json) as a
-//	                           markdown table
-//
-// Shared flags: -baseline, -input (pre-captured `go test -bench` output,
-// "-" for stdin), -count, -benchtime, -cpu, -bench-out (tee the raw
-// stream to a file). check adds -tolerance ("0.25" for ns/op, or
-// "ns/op=0.25,allocs/op=0.05"), -update (refresh the baseline and exit
-// 0), -fail-vanished, -json-out and -md-out.
+// check unpacks REV's tree (default HEAD) into a temporary directory,
+// runs perf.TrackedSet in the working tree and in REV's tree one sample
+// at a time with alternating order (perf.RunPair), compares the change's
+// medians with the base's, prints the report and exits 0 when nothing
+// regressed or vanished, 1 when something did, and 2 on any error.
+// -input and -base-input compare two captured `go test -bench` outputs
+// instead of running anything; -bench-out writes the change's raw output
+// to its file and the base's to the same name plus ".base", the pair
+// they read back.
 //
 // See DESIGN.md "Performance tracking" for tolerance semantics and the
 // CI wiring.
 package main
 
 import (
+	"archive/tar"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"time"
 
 	"cardopc/internal/analysis"
 	"cardopc/internal/perf"
@@ -49,14 +44,8 @@ func run(args []string) int {
 		return 2
 	}
 	switch args[0] {
-	case "record":
-		return cmdRecord(args[1:])
 	case "check":
-		return cmdCheck(args[1:], true)
-	case "report":
-		return cmdCheck(args[1:], false)
-	case "trend":
-		return cmdTrend(args[1:])
+		return check(args[1:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return 0
@@ -68,91 +57,13 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: benchdiff <record|check|report|trend> [flags]
+	fmt.Fprint(os.Stderr, `usage: benchdiff check [flags]
 
-record   run the tracked benchmark set and write the baseline
-         (-history-dir also appends a per-commit BENCH_<sha>.json snapshot)
-check    compare a run against the baseline; exit 1 on regression
-report   render the comparison (text, -json, -md) without gating
-trend    render the per-commit snapshot history as a markdown table
+check    run the tracked benchmarks in the working tree and in -base's
+         tree, alternating; exit 1 on a regression or a vanished benchmark
 
-Run 'benchdiff <subcommand> -h' for flags.
+Run 'benchdiff check -h' for flags.
 `)
-}
-
-// commonFlags are shared by every subcommand.
-type commonFlags struct {
-	baseline  string
-	input     string
-	benchOut  string
-	count     int
-	benchtime string
-	cpu       int
-}
-
-func addCommon(fs *flag.FlagSet, c *commonFlags) {
-	def := perf.DefaultRunOptions()
-	fs.StringVar(&c.baseline, "baseline", perf.DefaultBaselineName, "baseline file (relative paths resolve against the module root)")
-	fs.StringVar(&c.input, "input", "", "ingest pre-captured `go test -bench` output from this file ('-' = stdin) instead of running")
-	fs.StringVar(&c.benchOut, "bench-out", "", "tee the raw bench stream to this file")
-	fs.IntVar(&c.count, "count", def.Count, "samples per benchmark (-count)")
-	fs.StringVar(&c.benchtime, "benchtime", def.Benchtime, "per-sample budget (-benchtime)")
-	fs.IntVar(&c.cpu, "cpu", def.CPU, "pinned GOMAXPROCS (-cpu) for stable numbers")
-}
-
-// gather produces parsed samples: either by running the tracked set from
-// the module root or by ingesting -input.
-func gather(c *commonFlags, root string) (*perf.ParseResult, error) {
-	var raw []byte
-	switch {
-	case c.input == "-":
-		var err error
-		raw, err = io.ReadAll(os.Stdin)
-		if err != nil {
-			return nil, fmt.Errorf("reading stdin: %w", err)
-		}
-	case c.input != "":
-		var err error
-		raw, err = os.ReadFile(c.input)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		opt := perf.RunOptions{
-			Count:     c.count,
-			Benchtime: c.benchtime,
-			CPU:       c.cpu,
-			Dir:       root,
-			Log:       os.Stderr, // live progress; stdout stays report-only
-		}
-		var err error
-		raw, err = perf.RunTracked(perf.TrackedSet(), opt)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if c.benchOut != "" {
-		if err := os.WriteFile(resolve(root, c.benchOut), raw, 0o644); err != nil {
-			return nil, err
-		}
-	}
-	res, err := perf.Parse(strings.NewReader(string(raw)))
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Names) == 0 {
-		return nil, fmt.Errorf("no benchmark lines found (input %q)", c.input)
-	}
-	return res, nil
-}
-
-// resolve anchors relative paths at the module root so benchdiff behaves
-// the same from any working directory.
-func resolve(root, path string) string {
-	if path == "" || filepath.IsAbs(path) {
-		return path
-	}
-	return filepath.Join(root, path)
 }
 
 func fail(err error) int {
@@ -160,173 +71,177 @@ func fail(err error) int {
 	return 2
 }
 
-func cmdRecord(args []string) int {
-	fs := flag.NewFlagSet("benchdiff record", flag.ExitOnError)
-	var c commonFlags
-	addCommon(fs, &c)
-	historyDir := fs.String("history-dir", "", "also append a per-commit BENCH_<sha>.json snapshot to this directory")
-	commit := fs.String("commit", "", "commit SHA for the history snapshot (default: git rev-parse --short HEAD)")
+func check(args []string) int {
+	fs := flag.NewFlagSet("benchdiff check", flag.ContinueOnError)
+	def := perf.DefaultRunOptions()
+	rev := fs.String("base", "HEAD", "git revision whose tree the working tree is measured against")
+	input := fs.String("input", "", "read the change's go test -bench output from this file instead of running (with -base-input)")
+	baseInput := fs.String("base-input", "", "read the base's go test -bench output from this file instead of running (with -input)")
+	count := fs.Int("count", def.Count, "samples per benchmark in each tree")
+	cpu := fs.Int("cpu", def.CPU, "pinned GOMAXPROCS (-test.cpu) for stable numbers")
+	benchOut := fs.String("bench-out", "", "write the change's raw bench output to this file and the base's to this file + \".base\"")
+	jsonOut := fs.String("json-out", "", "also write the comparison as JSON to this file")
+	mdOut := fs.String("md-out", "", "also write the comparison as markdown to this file")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		return fail(err)
-	}
-	res, err := gather(&c, root)
-	if err != nil {
-		return fail(err)
-	}
-	base := perf.NewBaseline(perf.CurrentEnv(), res)
-	path := resolve(root, c.baseline)
-	if err := base.Save(path); err != nil {
-		return fail(err)
-	}
-	fmt.Printf("benchdiff: recorded %d benchmarks to %s (%s)\n",
-		len(base.Benchmarks), path, base.Env)
 
-	if *historyDir != "" {
-		sha := *commit
-		if sha == "" {
-			if sha, err = gitShortHead(root); err != nil {
-				return fail(fmt.Errorf("resolving commit for history snapshot (pass -commit): %w", err))
-			}
+	var headRaw, baseRaw []byte
+	var err error
+	if *input != "" || *baseInput != "" {
+		if *input == "" || *baseInput == "" {
+			return fail(errors.New("-input and -base-input go together"))
 		}
-		snap := perf.NewHistorySnapshot(base, sha, time.Now())
-		spath, err := snap.Save(resolve(root, *historyDir))
+		if headRaw, err = os.ReadFile(*input); err != nil {
+			return fail(err)
+		}
+		if baseRaw, err = os.ReadFile(*baseInput); err != nil {
+			return fail(err)
+		}
+	} else {
+		root, err := analysis.FindModuleRoot(".")
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("benchdiff: history snapshot written to %s\n", spath)
-	}
-	return 0
-}
-
-// gitShortHead resolves the working tree's commit for snapshot naming.
-func gitShortHead(root string) (string, error) {
-	cmd := exec.Command("git", "rev-parse", "--short", "HEAD")
-	cmd.Dir = root
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("git rev-parse: %w", err)
-	}
-	return strings.TrimSpace(string(out)), nil
-}
-
-func cmdTrend(args []string) int {
-	fs := flag.NewFlagSet("benchdiff trend", flag.ExitOnError)
-	historyDir := fs.String("history-dir", perf.DefaultHistoryDir, "snapshot directory (relative paths resolve against the module root)")
-	unit := fs.String("unit", "ns/op", "metric unit to render (ns/op, B/op, allocs/op)")
-	mdOut := fs.String("md-out", "", "also write the table to this file")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		return fail(err)
-	}
-	snaps, err := perf.LoadHistory(resolve(root, *historyDir))
-	if err != nil {
-		return fail(err)
-	}
-	if *mdOut != "" {
-		if err := writeWith(resolve(root, *mdOut), func(w io.Writer) error {
-			return perf.WriteTrend(w, snaps, *unit)
-		}); err != nil {
+		err = withTree(root, *rev, func(dir string) error {
+			var err error
+			headRaw, baseRaw, err = perf.RunPair(perf.TrackedSet(), root, dir,
+				perf.RunOptions{Count: *count, CPU: *cpu, Log: os.Stderr})
+			return err
+		})
+		if err != nil {
 			return fail(err)
 		}
 	}
-	if err := perf.WriteTrend(os.Stdout, snaps, *unit); err != nil {
-		return fail(err)
+	if *benchOut != "" {
+		if err := os.WriteFile(*benchOut, headRaw, 0o644); err != nil {
+			return fail(err)
+		}
+		if err := os.WriteFile(*benchOut+".base", baseRaw, 0o644); err != nil {
+			return fail(err)
+		}
 	}
-	return 0
-}
 
-func cmdCheck(args []string, gate bool) int {
-	name := "benchdiff check"
-	if !gate {
-		name = "benchdiff report"
-	}
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	var c commonFlags
-	addCommon(fs, &c)
-	tolSpec := fs.String("tolerance", "", "override tolerances: a bare fraction for ns/op (e.g. 0.25) or unit=frac pairs (ns/op=0.25,allocs/op=0.05)")
-	jsonOut := fs.String("json-out", "", "also write the comparison as JSON to this file")
-	mdOut := fs.String("md-out", "", "also write the comparison as markdown to this file")
-	var update, failVanished, asJSON, asMD bool
-	if gate {
-		fs.BoolVar(&update, "update", false, "refresh the baseline with this run's medians and exit 0")
-		fs.BoolVar(&failVanished, "fail-vanished", true, "treat baseline benchmarks missing from the run as failures")
-	} else {
-		fs.BoolVar(&asJSON, "json", false, "render JSON instead of text")
-		fs.BoolVar(&asMD, "md", false, "render markdown instead of text")
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	tol, err := parseTolerances(*tolSpec)
+	head, err := perf.Parse(bytes.NewReader(headRaw))
 	if err != nil {
 		return fail(err)
 	}
-	root, err := analysis.FindModuleRoot(".")
+	if len(head.Names) == 0 {
+		return fail(errors.New("the change's run has no benchmark lines"))
+	}
+	base, err := perf.Parse(bytes.NewReader(baseRaw))
 	if err != nil {
 		return fail(err)
 	}
-	res, err := gather(&c, root)
-	if err != nil {
-		return fail(err)
-	}
-	basePath := resolve(root, c.baseline)
-	base, err := perf.LoadBaseline(basePath)
-	if err != nil {
-		return fail(err)
-	}
-	cmp := perf.Compare(res, base, perf.Options{Tolerances: tol})
+	cmp := perf.Compare(head, base, perf.DefaultTolerances())
 
 	if *jsonOut != "" {
-		if err := writeWith(resolve(root, *jsonOut), cmp.WriteJSON); err != nil {
+		if err := writeWith(*jsonOut, cmp.WriteJSON); err != nil {
 			return fail(err)
 		}
 	}
 	if *mdOut != "" {
-		if err := writeWith(resolve(root, *mdOut), cmp.WriteMarkdown); err != nil {
+		if err := writeWith(*mdOut, cmp.WriteMarkdown); err != nil {
 			return fail(err)
 		}
 	}
-
-	var render func(io.Writer) error
-	switch {
-	case asJSON:
-		render = cmp.WriteJSON
-	case asMD:
-		render = cmp.WriteMarkdown
-	default:
-		render = cmp.WriteText
-	}
-	if err := render(os.Stdout); err != nil {
+	if err := cmp.WriteText(os.Stdout); err != nil {
 		return fail(err)
 	}
 
-	if !gate {
-		return 0
-	}
-	if update {
-		base = perf.NewBaseline(perf.CurrentEnv(), res)
-		if err := base.Save(basePath); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("benchdiff: baseline %s refreshed (%d benchmarks)\n", basePath, len(base.Benchmarks))
-		return 0
-	}
 	if n := len(cmp.Regressions()); n > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed beyond tolerance\n", n)
 		return 1
 	}
-	if gone := cmp.Vanished(); failVanished && len(gone) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d baseline benchmark(s) vanished from the run (re-record or pass -fail-vanished=false)\n", len(gone))
+	if n := len(cmp.Vanished()); n > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) the base ran vanished from the change's run\n", n)
 		return 1
 	}
 	return 0
+}
+
+// withTree unpacks rev's tree from the git repository at root into a
+// temporary directory, calls fn with that directory, and removes it
+// when fn returns.
+func withTree(root, rev string, fn func(dir string) error) error {
+	dir, err := os.MkdirTemp("", "benchdiff-base-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+
+	cmd := exec.Command("git", "archive", "--format=tar", rev)
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return err
+	}
+	if err := cmd.Start(); err != nil {
+		return fmt.Errorf("git archive: %w", err)
+	}
+	uerr := untar(stdout, dir)
+	_, _ = io.Copy(io.Discard, stdout) // drain what untar left unread so git can exit
+	if err := cmd.Wait(); err != nil {
+		return fmt.Errorf("git archive %s: %w: %s", rev, err, strings.TrimSpace(stderr.String()))
+	}
+	if uerr != nil {
+		return fmt.Errorf("unpacking %s: %w", rev, uerr)
+	}
+	return fn(dir)
+}
+
+// untar writes the directories and regular files of a tar stream under
+// dir. It skips the pax global header git archive puts first (it holds
+// the commit id) and rejects any other entry type, and any name that
+// would land outside dir.
+func untar(r io.Reader, dir string) error {
+	tr := tar.NewReader(r)
+	for {
+		h, err := tr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if h.Typeflag == tar.TypeXGlobalHeader {
+			continue
+		}
+		if !filepath.IsLocal(h.Name) {
+			return fmt.Errorf("entry %q is outside the tree", h.Name)
+		}
+		path := filepath.Join(dir, h.Name)
+		switch h.Typeflag {
+		case tar.TypeDir:
+			err = os.MkdirAll(path, 0o755)
+		case tar.TypeReg:
+			err = writeFile(path, tr, os.FileMode(h.Mode).Perm())
+		default:
+			err = fmt.Errorf("entry %q has unsupported type %q", h.Name, h.Typeflag)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// writeFile copies r into a new file at path; git archive lists every
+// directory before the files in it.
+func writeFile(path string, r io.Reader, perm os.FileMode) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(f, r); err != nil {
+		_ = f.Close() // the copy error is the interesting one
+		return err
+	}
+	return f.Close()
 }
 
 // writeWith streams a renderer into path.
@@ -340,33 +255,4 @@ func writeWith(path string, render func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// parseTolerances interprets -tolerance: empty means defaults, a bare
-// fraction overrides ns/op only, and unit=frac pairs override per unit
-// on top of the defaults.
-func parseTolerances(spec string) (perf.Tolerances, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	tol := perf.DefaultTolerances()
-	if v, err := strconv.ParseFloat(spec, 64); err == nil {
-		if v < 0 {
-			return nil, fmt.Errorf("tolerance %q is negative", spec)
-		}
-		tol["ns/op"] = v
-		return tol, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		unit, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad tolerance %q: want unit=fraction", part)
-		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad tolerance value %q for %s", val, unit)
-		}
-		tol[unit] = v
-	}
-	return tol, nil
 }

@@ -3,40 +3,24 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// absFixture returns the absolute path of a testdata fixture, so the
-// subcommands' module-root anchoring cannot misresolve it.
-func absFixture(t *testing.T, name string) string {
-	t.Helper()
-	p, err := filepath.Abs(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// fixture returns the path of a testdata fixture.
+func fixture(name string) string {
+	return filepath.Join("testdata", name)
 }
 
-// recordBaseline records testdata/base_run.txt into a temp baseline and
-// returns its path.
-func recordBaseline(t *testing.T) string {
-	t.Helper()
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	if code := run([]string{"record", "-input", absFixture(t, "base_run.txt"), "-baseline", base}); code != 0 {
-		t.Fatalf("record exit = %d, want 0", code)
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("record wrote no baseline: %v", err)
-	}
-	return base
+// checkInputs runs `benchdiff check` on a captured change/base output
+// pair.
+func checkInputs(head, base string, extra ...string) int {
+	return run(append([]string{"check", "-input", head, "-base-input", base}, extra...))
 }
 
 func TestCheckCleanRunExitsZero(t *testing.T) {
-	base := recordBaseline(t)
-	code := run([]string{"check", "-input", absFixture(t, "base_run.txt"), "-baseline", base})
-	if code != 0 {
+	if code := checkInputs(fixture("base_run.txt"), fixture("base_run.txt")); code != 0 {
 		t.Fatalf("check exit = %d, want 0 for an unchanged run", code)
 	}
 }
@@ -45,15 +29,8 @@ func TestCheckCleanRunExitsZero(t *testing.T) {
 // 2× ns/op slowdown must yield a non-zero exit and name the offending
 // benchmark in the JSON report.
 func TestCheckDoubledTimeExitsNonZero(t *testing.T) {
-	base := recordBaseline(t)
 	report := filepath.Join(t.TempDir(), "report.json")
-	code := run([]string{
-		"check",
-		"-input", absFixture(t, "slow_run.txt"),
-		"-baseline", base,
-		"-json-out", report,
-	})
-	if code != 1 {
+	if code := checkInputs(fixture("slow_run.txt"), fixture("base_run.txt"), "-json-out", report); code != 1 {
 		t.Fatalf("check exit = %d, want 1 for a 2x regression", code)
 	}
 
@@ -82,29 +59,10 @@ func TestCheckDoubledTimeExitsNonZero(t *testing.T) {
 	}
 }
 
-func TestCheckUpdateRefreshesBaseline(t *testing.T) {
-	base := recordBaseline(t)
-	code := run([]string{"check", "-input", absFixture(t, "slow_run.txt"), "-baseline", base, "-update"})
-	if code != 0 {
-		t.Fatalf("check -update exit = %d, want 0", code)
-	}
-	// The refreshed baseline now matches the slow run exactly.
-	code = run([]string{"check", "-input", absFixture(t, "slow_run.txt"), "-baseline", base})
-	if code != 0 {
-		t.Fatalf("check after -update exit = %d, want 0", code)
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "47044") {
-		t.Errorf("baseline not refreshed with slow-run median:\n%s", data)
-	}
-}
-
+// TestCheckVanishedGates: a benchmark only the base ran fails the check;
+// the same pair the other way round, a benchmark only the change ran, is
+// new and passes.
 func TestCheckVanishedGates(t *testing.T) {
-	base := recordBaseline(t)
-	// A run covering only one of the two recorded benchmarks.
 	partial := filepath.Join(t.TempDir(), "partial.txt")
 	content := `pkg: cardopc/internal/fft
 BenchmarkForward1024-4    	      10	     23000 ns/op	       0 B/op	       0 allocs/op
@@ -112,62 +70,84 @@ BenchmarkForward1024-4    	      10	     23000 ns/op	       0 B/op	       0 allo
 	if err := os.WriteFile(partial, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"check", "-input", partial, "-baseline", base}); code != 1 {
-		t.Errorf("check with vanished benchmark exit = %d, want 1", code)
+	if code := checkInputs(partial, fixture("base_run.txt")); code != 1 {
+		t.Errorf("check with a vanished benchmark exit = %d, want 1", code)
 	}
-	if code := run([]string{"check", "-input", partial, "-baseline", base, "-fail-vanished=false"}); code != 0 {
-		t.Errorf("check -fail-vanished=false exit = %d, want 0", code)
-	}
-}
-
-func TestCheckMissingBaselineExitsTwo(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "nope.json")
-	code := run([]string{"check", "-input", absFixture(t, "base_run.txt"), "-baseline", missing})
-	if code != 2 {
-		t.Fatalf("check without baseline exit = %d, want 2", code)
-	}
-}
-
-func TestReportNeverGates(t *testing.T) {
-	base := recordBaseline(t)
-	md := filepath.Join(t.TempDir(), "report.md")
-	code := run([]string{"report", "-input", absFixture(t, "slow_run.txt"), "-baseline", base, "-md", "-md-out", md})
-	if code != 0 {
-		t.Fatalf("report exit = %d, want 0 even with regressions", code)
-	}
-	data, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "**REGRESSED**") {
-		t.Errorf("markdown report missing verdict:\n%s", data)
+	if code := checkInputs(fixture("base_run.txt"), partial); code != 0 {
+		t.Errorf("check with a new benchmark exit = %d, want 0", code)
 	}
 }
 
 func TestUnknownSubcommandExitsTwo(t *testing.T) {
-	if code := run([]string{"frobnicate"}); code != 2 {
-		t.Errorf("unknown subcommand exit = %d, want 2", code)
-	}
-	if code := run(nil); code != 2 {
-		t.Errorf("no-args exit = %d, want 2", code)
+	for _, args := range [][]string{
+		nil,
+		{"frobnicate"},
+		{"record"},
+		{"check", "-base", "no-such-rev-benchdiff"},
+		{"check", "-input", fixture("base_run.txt")},
+		{"check", "-baseline", fixture("base_run.txt")},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("benchdiff %q exit = %d, want 2", args, code)
+		}
 	}
 }
 
-func TestToleranceSpecParsing(t *testing.T) {
-	if _, err := parseTolerances(""); err != nil {
-		t.Errorf("empty spec: %v", err)
+// TestWithTreeUnpacksCommittedBytes: the base tree holds what the
+// revision committed, not the working tree's edits, and is gone once
+// withTree returns.
+func TestWithTreeUnpacksCommittedBytes(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
 	}
-	tol, err := parseTolerances("0.25")
-	if err != nil || tol["ns/op"] != 0.25 {
-		t.Errorf("bare spec: tol=%v err=%v", tol, err)
-	}
-	tol, err = parseTolerances("ns/op=0.5,allocs/op=0")
-	if err != nil || tol["ns/op"] != 0.5 || tol["allocs/op"] != 0 {
-		t.Errorf("pair spec: tol=%v err=%v", tol, err)
-	}
-	for _, bad := range []string{"-0.3", "ns/op", "ns/op=x"} {
-		if _, err := parseTolerances(bad); err == nil {
-			t.Errorf("parseTolerances(%q) accepted bad spec", bad)
+	repo := t.TempDir()
+	git := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{
+			"-c", "user.name=benchdiff", "-c", "user.email=benchdiff@example.com",
+			"-c", "commit.gpgsign=false",
+		}, args...)...)
+		cmd.Dir = repo
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
 		}
+	}
+	write := func(name, content string) {
+		t.Helper()
+		path := filepath.Join(repo, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git("init", "-q")
+	write("internal/x/x.go", "package x // committed\n")
+	git("add", "-A")
+	git("commit", "-q", "-m", "x")
+	write("internal/x/x.go", "package x // dirty\n")
+	write("untracked.go", "package main\n")
+
+	var dir string
+	err := withTree(repo, "HEAD", func(d string) error {
+		dir = d
+		got, err := os.ReadFile(filepath.Join(d, "internal/x/x.go"))
+		if err != nil {
+			return err
+		}
+		if string(got) != "package x // committed\n" {
+			t.Errorf("base tree holds %q, want the committed bytes", got)
+		}
+		if _, err := os.Stat(filepath.Join(d, "untracked.go")); !os.IsNotExist(err) {
+			t.Errorf("base tree holds an untracked file (stat err %v)", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("base tree %s still exists after withTree returned (stat err %v)", dir, err)
 	}
 }

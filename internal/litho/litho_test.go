@@ -216,8 +216,7 @@ func BenchmarkAerial256(b *testing.B) {
 	s := NewSimulator(testConfig())
 	mask := maskWithRect(s.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
 	out := raster.NewField(s.Grid())
-	s.AerialInto(out, mask, nil) // warm the pools
-	b.ResetTimer()
+	steadyState(b, func() { s.AerialInto(raster.NewField(s.Grid()), mask, nil) })
 	for i := 0; i < b.N; i++ {
 		s.AerialInto(out, mask, nil)
 	}

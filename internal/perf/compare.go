@@ -5,7 +5,8 @@ import (
 	"strings"
 )
 
-// Class classifies one benchmark (or one metric) against the baseline.
+// Class classifies one benchmark (or one metric) of the change against
+// the base.
 type Class int
 
 const (
@@ -15,9 +16,9 @@ const (
 	Improved
 	// Regressed: at least one metric exceeded its tolerance.
 	Regressed
-	// New: the benchmark has no baseline entry.
+	// New: the change ran the benchmark and the base did not.
 	New
-	// Vanished: the baseline entry was not exercised by this run.
+	// Vanished: the base ran the benchmark and the change did not.
 	Vanished
 )
 
@@ -43,7 +44,8 @@ func (c Class) String() string {
 func (c Class) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
 
 // Tolerances maps a metric unit to its allowed relative regression
-// (0.30 = the new median may be up to 30% worse before gating).
+// (0.30 = the change's median may be up to 30% worse than the base's
+// before gating).
 // Metrics are smaller-is-better except for rate units — see
 // LargerIsBetter — where "worse" means the rate dropped.
 type Tolerances map[string]float64
@@ -72,13 +74,6 @@ func LargerIsBetter(unit string) bool {
 	return strings.HasSuffix(unit, "/s")
 }
 
-// wallClockUnit reports whether a unit measures wall time (directly or
-// as a rate), and therefore shifts wholesale across machines: these get
-// the cross-machine noise widening that ns/op always had.
-func wallClockUnit(unit string) bool {
-	return unit == "ns/op" || strings.HasSuffix(unit, "-ms") || LargerIsBetter(unit)
-}
-
 // DefaultTolerance applies to units without an explicit entry.
 const DefaultTolerance = 0.30
 
@@ -90,41 +85,26 @@ func (t Tolerances) For(unit string) float64 {
 	return DefaultTolerance
 }
 
-// Options tunes Compare.
-type Options struct {
-	// Tolerances gives per-unit relative slack; nil means defaults.
-	Tolerances Tolerances
-	// NoiseFactor widens the ns/op tolerance when the run's environment
-	// fingerprint does not match the baseline's (different machine ⇒
-	// absolute times shift wholesale). 0 means DefaultNoiseFactor; 1
-	// disables widening.
-	NoiseFactor float64
-	// Env fingerprints the current run; zero value means CurrentEnv().
-	Env Env
-}
-
-// DefaultNoiseFactor is the cross-machine widening applied to ns/op.
-const DefaultNoiseFactor = 3
-
 // MetricDelta is the comparison of one metric of one benchmark.
 type MetricDelta struct {
-	Unit string  `json:"unit"`
-	Old  float64 `json:"old"`
-	New  float64 `json:"new"`
+	Unit string `json:"unit"`
+	// Old and New are the base's and the change's medians.
+	Old float64 `json:"old"`
+	New float64 `json:"new"`
 	// Delta is (New-Old)/Old; +0.42 means 42% worse. When Old is zero
 	// and New is not, Delta is reported as +1 and the metric regresses.
 	Delta float64 `json:"delta"`
-	// Tol is the tolerance the delta was judged against (after any
-	// cross-machine widening).
+	// Tol is the tolerance the delta was judged against.
 	Tol   float64 `json:"tol"`
 	Class Class   `json:"class"`
 }
 
 // BenchResult is the classified comparison of one benchmark.
 type BenchResult struct {
-	Name    string `json:"name"`
-	Class   Class  `json:"class"`
-	Samples int    `json:"samples"`
+	Name  string `json:"name"`
+	Class Class  `json:"class"`
+	// Samples is how many samples the change took.
+	Samples int `json:"samples"`
 	// Metrics holds per-unit deltas for benchmarks present on both
 	// sides, sorted with ns/op first, then alphabetically.
 	Metrics []MetricDelta `json:"metrics,omitempty"`
@@ -132,12 +112,8 @@ type BenchResult struct {
 
 // Comparison is the full result of one check run.
 type Comparison struct {
-	Env         Env     `json:"env"`
-	BaselineEnv Env     `json:"baseline_env"`
-	EnvMatch    bool    `json:"env_match"`
-	NoiseFactor float64 `json:"noise_factor"`
-	// Results lists run benchmarks in run order, then vanished baseline
-	// entries in name order.
+	// Results lists the change's benchmarks in run order, then vanished
+	// ones in name order.
 	Results []BenchResult  `json:"results"`
 	Counts  map[string]int `json:"counts"`
 }
@@ -164,54 +140,26 @@ func (c *Comparison) Vanished() []BenchResult {
 	return out
 }
 
-// Compare classifies the parsed run against the baseline. Medians over
-// the run's -count samples are compared per metric; only units present on
-// both sides are judged (a newly reported unit is informational until the
-// baseline is re-recorded).
-func Compare(res *ParseResult, base *Baseline, opt Options) *Comparison {
-	tol := opt.Tolerances
-	if tol == nil {
-		tol = DefaultTolerances()
-	}
-	env := opt.Env
-	if env == (Env{}) {
-		env = CurrentEnv()
-	}
-	noise := opt.NoiseFactor
-	if noise == 0 {
-		noise = DefaultNoiseFactor
-	}
-	cmp := &Comparison{
-		Env:         env,
-		BaselineEnv: base.Env,
-		EnvMatch:    env.Matches(base.Env),
-		NoiseFactor: noise,
-		Counts:      map[string]int{},
-	}
-	widen := 1.0
-	if !cmp.EnvMatch {
-		widen = noise
-	}
-
-	for _, name := range res.Names {
-		samples := res.Samples[name]
-		entry, inBase := base.Benchmarks[name]
+// Compare classifies the change's run against the base's. Medians over
+// each side's samples are compared per metric; only units present on
+// both sides are judged (a newly reported unit is informational).
+func Compare(head, base *ParseResult, tol Tolerances) *Comparison {
+	cmp := &Comparison{Counts: map[string]int{}}
+	for _, name := range head.Names {
+		samples := head.Samples[name]
 		r := BenchResult{Name: name, Samples: len(samples)}
-		if !inBase {
+		if baseSamples, ok := base.Samples[name]; ok {
+			r.Metrics, r.Class = diffMetrics(MedianMetrics(baseSamples), MedianMetrics(samples), tol)
+		} else {
 			r.Class = New
-			cmp.Counts[New.String()]++
-			cmp.Results = append(cmp.Results, r)
-			continue
 		}
-		med := MedianMetrics(samples)
-		r.Metrics, r.Class = diffMetrics(entry.Metrics, med, tol, widen)
 		cmp.Counts[r.Class.String()]++
 		cmp.Results = append(cmp.Results, r)
 	}
 
 	var gone []string
-	for name := range base.Benchmarks {
-		if _, ran := res.Samples[name]; !ran {
+	for _, name := range base.Names {
+		if _, ran := head.Samples[name]; !ran {
 			gone = append(gone, name)
 		}
 	}
@@ -225,7 +173,7 @@ func Compare(res *ParseResult, base *Baseline, opt Options) *Comparison {
 
 // diffMetrics compares the shared units of one benchmark and folds the
 // per-metric classes into the benchmark class.
-func diffMetrics(old, new map[string]float64, tol Tolerances, widen float64) ([]MetricDelta, Class) {
+func diffMetrics(old, new map[string]float64, tol Tolerances) ([]MetricDelta, Class) {
 	units := make([]string, 0, len(old))
 	for u := range old {
 		if _, ok := new[u]; ok {
@@ -243,9 +191,6 @@ func diffMetrics(old, new map[string]float64, tol Tolerances, widen float64) ([]
 	class := OK
 	for _, u := range units {
 		d := MetricDelta{Unit: u, Old: old[u], New: new[u], Tol: tol.For(u)}
-		if wallClockUnit(u) {
-			d.Tol *= widen
-		}
 		switch {
 		case d.Old == 0 && d.New == 0:
 			d.Delta, d.Class = 0, OK

@@ -1,60 +1,21 @@
 // Package perf is the benchmark-tracking subsystem behind cmd/benchdiff:
-// a parser for `go test -bench` output, an environment fingerprint, a JSON
-// baseline store (BENCH_BASELINE.json at the module root), and a
-// noise-aware comparator that classifies each benchmark against the
-// baseline as ok / improved / regressed / new / vanished.
+// a parser for `go test -bench` output, a runner that measures the
+// tracked set in two source trees side by side, and a noise-aware
+// comparator that classifies each benchmark of the change against the
+// base as ok / improved / regressed / new / vanished.
 //
 // The package is stdlib-only, mirroring internal/analysis: the perf gate
 // must never acquire dependencies the pipeline itself does not have.
 //
 // Pipeline shape (see DESIGN.md "Performance tracking"):
 //
-//	go test -bench … -count=N ──► Parse ──► Samples (N per benchmark)
-//	                                            │ median per metric
-//	BENCH_BASELINE.json ──► LoadBaseline ──► Compare ──► Report / exit code
+//	RunPair(head tree, base tree) ──► raw output per tree ──► Parse ──► Samples
+//	                                                                    │ median per metric
+//	                                            Compare(head, base) ◄───┘
+//	                                                 └──► Report / exit code
 package perf
 
-import (
-	"fmt"
-	"runtime"
-	"sort"
-)
-
-// Env is the environment fingerprint stored alongside a baseline. Times
-// recorded on one machine are only loosely comparable on another, so the
-// comparator widens time tolerances when the fingerprint of the current
-// run does not match the baseline's (see Options.NoiseFactor).
-type Env struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// CurrentEnv fingerprints the running process.
-func CurrentEnv() Env {
-	return Env{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-// Matches reports whether two fingerprints describe comparable machines
-// for timing purposes.
-func (e Env) Matches(o Env) bool {
-	return e.GoVersion == o.GoVersion && e.GOOS == o.GOOS &&
-		e.GOARCH == o.GOARCH && e.NumCPU == o.NumCPU
-}
-
-// String renders the fingerprint on one line.
-func (e Env) String() string {
-	return fmt.Sprintf("%s %s/%s cpu=%d maxprocs=%d",
-		e.GoVersion, e.GOOS, e.GOARCH, e.NumCPU, e.GOMAXPROCS)
-}
+import "sort"
 
 // Sample is one benchmark line: one measurement of every reported metric.
 // Running with -count=N yields N samples per benchmark.

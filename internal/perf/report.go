@@ -53,8 +53,7 @@ func (c *Comparison) WriteText(w io.Writer) error {
 }
 
 // WriteMarkdown renders GitHub-flavoured markdown suitable for
-// $GITHUB_STEP_SUMMARY: a verdict line, the per-benchmark table, and the
-// environment fingerprints.
+// $GITHUB_STEP_SUMMARY: a verdict line and the per-benchmark table.
 func (c *Comparison) WriteMarkdown(w io.Writer) error {
 	ew := &errWriter{w: w}
 	ew.printf("## benchdiff report\n\n")
@@ -76,11 +75,6 @@ func (c *Comparison) WriteMarkdown(w io.Writer) error {
 				name, class, m.Unit, fmtValue(m.Old), fmtValue(m.New), 100*m.Delta, 100*m.Tol)
 		}
 	}
-	ew.printf("\n<sub>run: %s · baseline: %s", c.Env, c.BaselineEnv)
-	if !c.EnvMatch {
-		ew.printf(" · fingerprint mismatch: ns/op tolerance ×%.0f", c.NoiseFactor)
-	}
-	ew.printf("</sub>\n")
 	return ew.err
 }
 

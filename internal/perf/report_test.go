@@ -3,28 +3,23 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
-
 // regressedComparison builds a comparison with one 2× regression, one ok
-// and one vanished benchmark, under matching environments.
+// and one vanished benchmark.
 func regressedComparison() *Comparison {
-	base := NewBaseline(env(), merge(
+	base := merge(
 		samplesOf("cardopc/internal/fft.BenchmarkForward1024", 0, 1000),
 		samplesOf("cardopc/internal/fft.BenchmarkForward2_256", 270, 3000),
 		samplesOf("cardopc/internal/mrc.BenchmarkResolveSpacing", 12, 800),
-	))
+	)
 	run := merge(
 		samplesOf("cardopc/internal/fft.BenchmarkForward1024", 0, 2000, 2010, 1990),
 		samplesOf("cardopc/internal/fft.BenchmarkForward2_256", 270, 3010),
 	)
-	return Compare(run, base, Options{Env: env()})
+	return Compare(run, base, DefaultTolerances())
 }
 
 func TestWriteTextReport(t *testing.T) {
@@ -81,14 +76,15 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"class": "regressed"`) {
 		t.Errorf("JSON report lacks symbolic class names:\n%s", buf.String())
 	}
-	if !strings.Contains(buf.String(), `"env_match": true`) {
-		t.Errorf("JSON report lacks env_match:\n%s", buf.String())
+	counts, _ := decoded["counts"].(map[string]any)
+	if counts["regressed"] != 1.0 || counts["vanished"] != 1.0 {
+		t.Errorf("JSON counts = %v, want 1 regressed and 1 vanished", decoded["counts"])
 	}
 }
 
 func TestSummaryLinePassVerdict(t *testing.T) {
-	base := NewBaseline(env(), samplesOf("pkg.BenchmarkA", 0, 1000))
-	cmp := Compare(samplesOf("pkg.BenchmarkA", 0, 1001), base, Options{Env: env()})
+	base := samplesOf("pkg.BenchmarkA", 0, 1000)
+	cmp := Compare(samplesOf("pkg.BenchmarkA", 0, 1001), base, DefaultTolerances())
 	var buf bytes.Buffer
 	if err := cmp.WriteText(&buf); err != nil {
 		t.Fatal(err)
