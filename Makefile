@@ -12,7 +12,7 @@ BENCH_COUNT ?= 5
 # The git revision bench-check measures the working tree against.
 BENCH_BASE ?= HEAD
 
-.PHONY: all build test test-pooldebug vet race bench bench-check serve loadtest soak
+.PHONY: all build test test-pooldebug vet race bench bench-check serve
 
 all: build vet test
 
@@ -66,24 +66,11 @@ bench-check:
 
 # --- cardopcd service targets ---
 
-# Daemon address for serve/loadtest/soak; override per invocation, e.g.
+# Daemon address for serve; override per invocation, e.g.
 # `make serve SERVE_ADDR=127.0.0.1:0` for an ephemeral port.
 SERVE_ADDR ?= 127.0.0.1:8347
-LOADTEST_DURATION ?= 10s
-LOADTEST_CONCURRENCY ?= 2
 
 # Run the OPC daemon in the foreground with warm default kernels.
 # Ctrl-C (or SIGTERM) drains: in-flight jobs finish, then it exits.
 serve:
 	$(GO) run ./cmd/cardopcd -addr $(SERVE_ADDR)
-
-# Drive a running daemon closed-loop and print req/s + p50/p99 latency.
-loadtest:
-	$(GO) run ./cmd/cardopcd loadtest -addr http://$(SERVE_ADDR) \
-		-d $(LOADTEST_DURATION) -c $(LOADTEST_CONCURRENCY)
-
-# The CI soak, runnable locally: boot a daemon on an ephemeral port,
-# load it for LOADTEST_DURATION while sampling a CPU profile, then
-# SIGTERM and check the drain. Artifacts land in soak-out/.
-soak:
-	./scripts/soak.sh $(LOADTEST_DURATION) $(LOADTEST_CONCURRENCY)

@@ -12,18 +12,10 @@
 // line), then serves until SIGTERM/SIGINT, at which point it drains:
 // stops accepting (submits answer 503, /healthz flips to draining),
 // finishes the jobs already accepted, flushes telemetry and exits.
-//
-// Load test (the soak harness):
-//
-//	cardopcd loadtest -addr http://127.0.0.1:8347 -d 60s -c 4
-//
-// drives the daemon closed-loop and prints req/s plus latency
-// quantiles, as text or as JSON with -json.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -36,14 +28,10 @@ import (
 
 	"cardopc/internal/litho"
 	"cardopc/internal/server"
-	"cardopc/internal/server/loadtest"
 )
 
 func main() {
 	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "loadtest" {
-		os.Exit(runLoadtest(args[1:]))
-	}
 	if len(args) > 0 && args[0] == "serve" {
 		args = args[1:]
 	}
@@ -51,7 +39,7 @@ func main() {
 	// "cardopcd sevre -addr :0" must not silently boot on the default
 	// port with every flag ignored.
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		fmt.Fprintf(os.Stderr, "cardopcd: unknown subcommand %q (want serve or loadtest)\n", args[0])
+		fmt.Fprintf(os.Stderr, "cardopcd: unknown subcommand %q (want serve)\n", args[0])
 		os.Exit(2)
 	}
 	os.Exit(serve(args))
@@ -125,50 +113,5 @@ func serve(args []string) int {
 	defer scancel()
 	_ = httpSrv.Shutdown(sctx)
 	fmt.Println("cardopcd: drained, bye")
-	return 0
-}
-
-// runLoadtest drives a running daemon and prints the summary.
-func runLoadtest(args []string) int {
-	fs := flag.NewFlagSet("cardopcd loadtest", flag.ExitOnError)
-	var (
-		addr     = fs.String("addr", "http://127.0.0.1:8347", "daemon base URL")
-		dur      = fs.String("d", "10s", "run duration (plain seconds or Go duration)")
-		conc     = fs.Int("c", 2, "concurrent closed-loop workers")
-		specPath = fs.String("spec", "", "job spec JSON file (default: built-in small clip)")
-		asJSON   = fs.Bool("json", false, "print the result as JSON")
-	)
-	_ = fs.Parse(args)
-
-	d, err := loadtest.ParseDurationFlag(*dur)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cardopcd loadtest:", err)
-		return 2
-	}
-	cfg := loadtest.Config{BaseURL: *addr, Duration: d, Concurrency: *conc}
-	if *specPath != "" {
-		spec, err := os.ReadFile(*specPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cardopcd loadtest:", err)
-			return 2
-		}
-		cfg.Spec = spec
-	}
-
-	res, err := loadtest.Run(context.Background(), cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cardopcd loadtest:", err)
-		return 1
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(res)
-	} else {
-		fmt.Println(res.String())
-	}
-	if res.Requests == 0 || res.Errors > 0 || res.Failed > 0 {
-		return 1
-	}
 	return 0
 }

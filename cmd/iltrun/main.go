@@ -95,10 +95,10 @@ func main() {
 
 	hy := exp.Hybrid(sim, clip.Targets, iltCfg, fit.DefaultConfig(), mrc.DefaultRules())
 	polys := hy.Mask.Polygons(8)
-	mask := raster.Rasterize(g, polys, 4)
-	printed := sim.Aerial(mask).Threshold(lcfg.Threshold)
+	aerial := sim.Aerial(raster.Rasterize(g, polys, 4))
+	printed := aerial.Threshold(lcfg.Threshold)
 	probes := metrics.ProbesForLayout(clip.Targets, 40)
-	epe := metrics.MeasureEPE(sim.Aerial(mask), probes, metrics.DefaultEPEConfig(lcfg.Threshold))
+	epe := metrics.MeasureEPE(aerial, probes, metrics.DefaultEPEConfig(lcfg.Threshold))
 	rep.Set("shapes", len(hy.Mask.Shapes))
 	rep.Set("control_points", hy.Mask.NumControlPoints())
 	rep.Set("mrc_before", hy.MRCBefore)

@@ -30,8 +30,8 @@ import (
 //     WithDeadline (a deliberate job-root, as in server.execute) or
 //     when a <Name>Context sibling exists (the Run/RunContext compat
 //     pair). Functions that already take a ctx and *choose* Background
-//     for a specific call (loadtest's poll-past-deadline) are not
-//     second-guessed.
+//     for a specific call (say, a poll that must outlive the caller's
+//     deadline) are not second-guessed.
 //  4. An exported Run*/Serve*/Solve* entry point in a library package
 //     whose transitive synchronous call tree blocks (or loops over
 //     blocking work), with no context parameter and no <Name>Context

@@ -112,19 +112,11 @@ func NewTelemetry(w io.Writer) *Telemetry {
 	return &Telemetry{buf: buf, enc: json.NewEncoder(buf)}
 }
 
-// NewTelemetryStream encodes records straight to w, one Write per
-// record, with no intermediate buffer: the live-streaming variant for
-// sinks that fan records out as they arrive (the cardopcd event hub).
-// Flush is a no-op. w must tolerate concurrent-free sequential writes —
-// Emit serialises them under the telemetry mutex.
-func NewTelemetryStream(w io.Writer) *Telemetry {
-	return &Telemetry{enc: json.NewEncoder(w)}
-}
-
 // NewTelemetryRouter encodes each record into an internal buffer and
-// hands the finished line, with the record's job label, to r — the
-// exact-attribution variant of NewTelemetryStream. The buffer is
-// reused across records; r must copy the line to retain it.
+// hands the finished line, with the record's job label, to r: the
+// live-streaming variant for a sink that routes each record to the unit
+// of work it belongs to (the cardopcd event hub). Flush is a no-op. The
+// buffer is reused across records; r must copy the line to retain it.
 func NewTelemetryRouter(r RecordRouter) *Telemetry {
 	t := &Telemetry{route: r}
 	t.enc = json.NewEncoder(&t.line)
@@ -154,7 +146,7 @@ func (t *Telemetry) Emit(rec Record) {
 }
 
 // Flush drains the buffer to the underlying writer. Nil-safe; a no-op
-// for unbuffered (NewTelemetryStream) telemetry.
+// for router (NewTelemetryRouter) telemetry.
 func (t *Telemetry) Flush() error {
 	if t == nil {
 		return nil

@@ -86,11 +86,16 @@ func (c *Comparison) WriteJSON(w io.Writer) error {
 }
 
 // summaryLine prints the one-line verdict; mark wraps the verdict word
-// (e.g. "**" for markdown bold).
+// (e.g. "**" for markdown bold). The verdict names the first class that
+// fails a check, regressed then vanished, and is PASS only when neither
+// is present.
 func (c *Comparison) summaryLine(ew *errWriter, mark string) {
 	verdict := "PASS"
-	if c.Counts[Regressed.String()] > 0 {
+	switch {
+	case c.Counts[Regressed.String()] > 0:
 		verdict = "REGRESSED"
+	case c.Counts[Vanished.String()] > 0:
+		verdict = "VANISHED"
 	}
 	parts := make([]string, 0, 5)
 	for _, cl := range []Class{OK, Improved, Regressed, New, Vanished} {

@@ -83,14 +83,32 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 }
 
 func TestSummaryLinePassVerdict(t *testing.T) {
-	base := samplesOf("pkg.BenchmarkA", 0, 1000)
-	cmp := Compare(samplesOf("pkg.BenchmarkA", 0, 1001), base, DefaultTolerances())
-	var buf bytes.Buffer
-	if err := cmp.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "PASS: 1 ok") {
-		t.Errorf("clean comparison verdict wrong:\n%s", buf.String())
+	for _, tc := range []struct {
+		run, base *ParseResult
+		want      string
+	}{
+		{samplesOf("pkg.BenchmarkA", 0, 1001), samplesOf("pkg.BenchmarkA", 0, 1000), "PASS: 1 ok"},
+		// A vanished benchmark fails benchdiff check, so it cannot read PASS.
+		{
+			samplesOf("pkg.BenchmarkA", 0, 1001),
+			merge(samplesOf("pkg.BenchmarkA", 0, 1000), samplesOf("pkg.BenchmarkB", 0, 1000)),
+			"VANISHED: 1 ok, 1 vanished",
+		},
+	} {
+		cmp := Compare(tc.run, tc.base, DefaultTolerances())
+		var text, md bytes.Buffer
+		if err := cmp.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmp.WriteMarkdown(&md); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(text.String(), "\n"+tc.want+"\n") {
+			t.Errorf("text verdict wrong, want %q:\n%s", tc.want, text.String())
+		}
+		if want := "**" + strings.Replace(tc.want, ":", "**:", 1); !strings.Contains(md.String(), "\n"+want+"\n") {
+			t.Errorf("markdown verdict wrong, want %q:\n%s", want, md.String())
+		}
 	}
 }
 

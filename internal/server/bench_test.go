@@ -15,8 +15,8 @@ import (
 // iteration pays kernel construction; every subsequent one hits the
 // warm ProcessCache, so the steady-state number is what the benchdiff
 // gate tracks. Alongside ns/op it reports req/s (larger-is-better in
-// the gate) and p99-ms — the same units the loadtest harness and the
-// CI soak print, so all three pipelines compare directly.
+// the gate) and p99-ms. Concurrent clients and a clip/ilt mix are
+// cmd/cardopc-bench's serve_mix workload, not this benchmark's.
 func BenchmarkServeClip(b *testing.B) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())

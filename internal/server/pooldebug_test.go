@@ -12,8 +12,9 @@ import (
 )
 
 // TestCancelReleasesPooledGrids: cancelling a job mid-run must not leak
-// fft pool items — cancellation is only observed at step and tile
-// boundaries, where every pooled grid and workspace has been returned.
+// fft pool items — cancellation is only observed at step, tile and
+// descent-iteration boundaries, where every pooled grid and workspace
+// has been returned or is released on the way out.
 // Runs under -tags cardopc_pooldebug, where the fft pool tracks every
 // outstanding checkout.
 func TestCancelReleasesPooledGrids(t *testing.T) {
@@ -38,6 +39,7 @@ func TestCancelReleasesPooledGrids(t *testing.T) {
 	}{
 		{"clip", slowSpec()},
 		{"bigopc", bigSlowSpec()},
+		{"ilt", iltSlowSpec()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v, _ := postJob(t, ts, tc.spec)
@@ -78,4 +80,13 @@ func bigSlowSpec() JobSpec {
 		TileNM:  3000,
 		HaloNM:  400,
 	}
+}
+
+// iltSlowSpec is slowSpec as a pixel-ILT job: when it is cancelled the
+// descent loop holds a ForwardCache of pooled per-kernel grids, and
+// every iteration draws the adjoint's pooled scratch.
+func iltSlowSpec() JobSpec {
+	s := slowSpec()
+	s.Kind = "ilt"
+	return s
 }

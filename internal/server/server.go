@@ -380,8 +380,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // metricsJSON is the /metrics.json body: server-level state plus the
 // full obs registry snapshot (the same data the expvar bridge exposes,
-// shaped for the CI smoke and the load-test harness; scrapers use the
-// Prometheus exposition at /metrics instead).
+// shaped for the CI smoke and cmd/cardopc-bench's serve_mix workload;
+// scrapers use the Prometheus exposition at /metrics instead).
 type metricsJSON struct {
 	State      string         `json:"state"`
 	QueueDepth int            `json:"queue_depth"`
