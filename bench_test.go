@@ -215,32 +215,6 @@ func BenchmarkAblationTension(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridRefine runs the ILT-initialised CardOPC flow (Fig. 2
-// step-① alternative): ILT → spline fit → classify main/SRAF → CardOPC
-// refinement → MRC resolve.
-func BenchmarkHybridRefine(b *testing.B) {
-	o := benchOptions()
-	lcfg := litho.DefaultConfig()
-	lcfg.GridSize = o.GridSize
-	lcfg.PitchNM = o.PitchNM
-	sim := litho.NewSimulator(lcfg)
-	clip := layout.MetalClip(8)
-	iltCfg := ilt.DefaultConfig()
-	iltCfg.Iterations = o.ILTIterations
-	opcCfg := core.MetalConfig()
-	if o.Iterations > 0 {
-		opcCfg.Iterations = o.Iterations
-		opcCfg.DecayAt = []int{o.Iterations / 2}
-	}
-	for i := 0; i < b.N; i++ {
-		res := exp.HybridRefine(sim, clip.Targets, iltCfg, fit.DefaultConfig(), opcCfg, mrc.HybridRules())
-		if i == b.N-1 {
-			b.Logf("mains %d, SRAFs %d, MRC %d -> %d",
-				res.Mains, res.SRAFs, res.MRCBefore, res.MRCAfter)
-		}
-	}
-}
-
 // BenchmarkMaskCost regenerates the VSB shot-count vs EPE trade-off table
 // (extension: the manufacturability cost the paper's MBMW discussion
 // references).

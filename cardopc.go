@@ -39,7 +39,6 @@ import (
 	"cardopc/internal/ilt"
 	"cardopc/internal/layout"
 	"cardopc/internal/litho"
-	"cardopc/internal/meef"
 	"cardopc/internal/metrics"
 	"cardopc/internal/mrc"
 	"cardopc/internal/orc"
@@ -250,17 +249,6 @@ func Hybrid(sim *Simulator, targets []Polygon, iltCfg ILTConfig, fitCfg FitConfi
 	return exp.Hybrid(sim, targets, iltCfg, fitCfg, rules)
 }
 
-// RefineResult is one run of the ILT-initialised CardOPC flow.
-type RefineResult = exp.RefineResult
-
-// HybridRefine runs the paper's Fig. 2 step-① alternative end to end: ILT
-// fitting provides SRAFs and initial main-shape geometry, the CardOPC loop
-// refines the main shapes against the target measure points, and MRC
-// resolving cleans the mask.
-func HybridRefine(sim *Simulator, targets []Polygon, iltCfg ILTConfig, fitCfg FitConfig, opcCfg Config, rules MRCRules) *RefineResult {
-	return exp.HybridRefine(sim, targets, iltCfg, fitCfg, opcCfg, rules)
-}
-
 // ---- Baselines ----
 
 // SegConfig tunes the Manhattan segment-OPC baseline.
@@ -379,18 +367,3 @@ type TiledResult = bigopc.Result
 func TiledOptimize(targets []Polygon, cfg TiledConfig) (*TiledResult, error) {
 	return bigopc.Run(targets, cfg)
 }
-
-// MeasureMEEF estimates the mask error enhancement factor of a mask's
-// control points by perturbation through the simulator (refs [37], [38]).
-func MeasureMEEF(sim *Simulator, mask *Mask, cfg MEEFConfig) *MEEFResult {
-	return meef.Measure(sim, mask, cfg)
-}
-
-// MEEFConfig tunes the MEEF measurement.
-type MEEFConfig = meef.Config
-
-// MEEFResult is one MEEF measurement.
-type MEEFResult = meef.Result
-
-// DefaultMEEFConfig returns a 2 nm perturbation with stride-4 sampling.
-func DefaultMEEFConfig() MEEFConfig { return meef.DefaultConfig() }

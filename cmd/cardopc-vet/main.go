@@ -5,8 +5,8 @@
 // interprocedural passes built on the module call graph and
 // per-function summaries (ctxflow, nonblock; poolcheck also consults
 // the summaries to follow pooled values through helpers). Every run
-// loads and type-checks the whole module, runs the suite and filters
-// the result through the allowlist. It is the same gate
+// loads and type-checks the whole module and runs the suite; inline
+// //cardopc:allow directives are its only exceptions. It is the same gate
 // selfcheck_test.go enforces under `go test ./...`, exposed as a
 // binary so CI and humans share one tool.
 //
@@ -15,7 +15,6 @@
 //	go run ./cmd/cardopc-vet ./...
 //	go run ./cmd/cardopc-vet -only=floatcmp,nanguard ./...
 //	go run ./cmd/cardopc-vet -json ./... | jq .
-//	go run ./cmd/cardopc-vet -allowlist=.cardopc-vet-allow ./...
 //
 // Exit status: 0 when clean, 1 when diagnostics were reported, 2 on
 // usage or load errors.

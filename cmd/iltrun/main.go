@@ -88,7 +88,8 @@ func main() {
 		fmt.Printf("%s: ILT loss %.1f after %d iterations, L2 %d px\n",
 			clip.Name, res.Loss, *iters, metrics.L2(printed, target.Threshold(0.5)))
 		if *svgPath != "" {
-			writeSnapshot(*svgPath, sim, clip, raster.MarchingSquares(res.Mask, 0.5))
+			polys := raster.MarchingSquares(res.Mask, 0.5)
+			writeSnapshot(*svgPath, clip, polys, sim.Contours(raster.Rasterize(g, polys, 4)))
 		}
 		return
 	}
@@ -112,17 +113,19 @@ func main() {
 	fmt.Printf("L2 %d px, EPE violations %d\n",
 		metrics.L2(printed, target.Threshold(0.5)), epe.Violations)
 	if *svgPath != "" {
-		writeSnapshot(*svgPath, sim, clip, polys)
+		// Contour the aerial image above rather than image the mask again.
+		writeSnapshot(*svgPath, clip, polys, raster.MarchingSquares(aerial, lcfg.Threshold))
 	}
 }
 
-func writeSnapshot(path string, sim *litho.Simulator, clip layout.Clip, polys []geom.Polygon) {
+// writeSnapshot draws the mask polygons, the targets and the print
+// contour of the mask.
+func writeSnapshot(path string, clip layout.Clip, polys, contour []geom.Polygon) {
 	view := geom.RectOf(geom.P(0, 0), geom.P(clip.SizeNM, clip.SizeNM))
 	c := render.NewCanvas(view, 800)
 	c.Add("mask", polys, render.MaskStyle)
 	c.Add("target", clip.Targets, render.TargetStyle)
-	mask := raster.Rasterize(sim.Grid(), polys, 4)
-	c.Add("contour", sim.Contours(mask), render.ContourStyle)
+	c.Add("contour", contour, render.ContourStyle)
 	if err := c.WriteFile(path); err != nil {
 		log.Fatal(err)
 	}

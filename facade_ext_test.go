@@ -67,32 +67,6 @@ func TestFacadeTiledOptimize(t *testing.T) {
 	}
 }
 
-func TestFacadeMEEF(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy test")
-	}
-	sim := NewSimulator(testLitho())
-	cfg := MetalConfig()
-	cfg.SRAF.Enable = false
-	target := Rect{Min: P(600, 960), Max: P(1450, 1090)}.Poly()
-	mask := &Mask{}
-	*mask = *maskFor(sim, target, cfg)
-	mcfg := DefaultMEEFConfig()
-	mcfg.Stride = 8
-	res := MeasureMEEF(sim, mask, mcfg)
-	if res.Mean == 0 {
-		t.Error("MEEF mean is zero")
-	}
-	if g := res.CalibrateGain(0.2, 3); g < 0.2 || g > 3 {
-		t.Errorf("gain = %v", g)
-	}
-}
-
-// maskFor builds the initial CardOPC mask for one target via the optimizer.
-func maskFor(sim *Simulator, target Polygon, cfg Config) *Mask {
-	return NewOptimizer(sim, []Polygon{target}, cfg).Mask()
-}
-
 func TestFacadePWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("imaging test")

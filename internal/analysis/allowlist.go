@@ -1,11 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -15,114 +11,9 @@ import (
 //	//cardopc:allow floatcmp,nanguard reason for the exception
 //
 // suppresses the named analyzers on the line it sits on, or — when the
-// comment stands alone on its line — on the following line.
+// comment stands alone on its line — on the following line. It is the
+// only suppression mechanism, so every exception sits next to its code.
 const AllowDirective = "//cardopc:allow"
-
-// AllowEntry is one allowlist-file rule: analyzer (or "*") and a
-// slash-separated path relative to the module root, optionally pinned
-// to a line.
-type AllowEntry struct {
-	Analyzer string
-	Path     string
-	Line     int // 0 = whole file
-	Reason   string
-	// Used is set by Filter when the entry suppressed at least one
-	// diagnostic; stale entries are reported by selfcheck.
-	Used bool
-}
-
-// Allowlist is a parsed allowlist file.
-type Allowlist struct {
-	Entries []*AllowEntry
-}
-
-// ParseAllowlist reads an allowlist file. Blank lines and #-comments
-// are ignored; each remaining line is
-//
-//	<analyzer|*> <path>[:<line>] [# reason]
-func ParseAllowlist(path string) (*Allowlist, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	al := &Allowlist{}
-	for i, raw := range strings.Split(string(data), "\n") {
-		line := raw
-		reason := ""
-		if j := strings.Index(line, "#"); j >= 0 {
-			reason = strings.TrimSpace(line[j+1:])
-			line = line[:j]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("%s:%d: want \"<analyzer> <path>[:line]\", got %q", path, i+1, raw)
-		}
-		ent := &AllowEntry{Analyzer: fields[0], Path: filepath.ToSlash(fields[1]), Reason: reason}
-		if at := strings.LastIndex(ent.Path, ":"); at >= 0 {
-			n, err := strconv.Atoi(ent.Path[at+1:])
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("%s:%d: bad line number in %q", path, i+1, fields[1])
-			}
-			ent.Line = n
-			ent.Path = ent.Path[:at]
-		}
-		al.Entries = append(al.Entries, ent)
-	}
-	return al, nil
-}
-
-// Filter returns the diagnostics not covered by the allowlist, marking
-// matched entries Used. Paths in diagnostics are matched after being
-// made relative to root.
-func (al *Allowlist) Filter(root string, diags []Diagnostic) []Diagnostic {
-	if al == nil || len(al.Entries) == 0 {
-		return diags
-	}
-	var out []Diagnostic
-	for _, d := range diags {
-		rel := d.Pos.Filename
-		if r, err := filepath.Rel(root, d.Pos.Filename); err == nil {
-			rel = filepath.ToSlash(r)
-		}
-		matched := false
-		for _, ent := range al.Entries {
-			if ent.Analyzer != "*" && ent.Analyzer != d.Analyzer {
-				continue
-			}
-			if ent.Path != rel {
-				continue
-			}
-			if ent.Line != 0 && ent.Line != d.Pos.Line {
-				continue
-			}
-			ent.Used = true
-			matched = true
-		}
-		if !matched {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Stale returns the entries that matched nothing in the last Filter
-// call; selfcheck fails on them so the allowlist cannot rot.
-func (al *Allowlist) Stale() []*AllowEntry {
-	if al == nil {
-		return nil
-	}
-	var out []*AllowEntry
-	for _, ent := range al.Entries {
-		if !ent.Used {
-			out = append(out, ent)
-		}
-	}
-	return out
-}
 
 // filterInlineAllows drops diagnostics suppressed by //cardopc:allow
 // comments in pkg's sources. Diagnostics for a package always point

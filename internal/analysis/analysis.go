@@ -12,11 +12,10 @@
 // bug into build-time diagnostics.
 //
 // Every run takes one path: LoadModule parses and type-checks the whole
-// module, Run applies the analyzers, and an Allowlist filters what they
-// report. Analyzers report Diagnostics; intentional exceptions are
-// recorded either inline (`//cardopc:allow <analyzer> reason`) or in an
-// allowlist file (see Allowlist). selfcheck_test.go runs the full suite
-// over the module on every `go test ./...`, so the gate cannot rot.
+// module and Run applies the analyzers. Analyzers report Diagnostics;
+// intentional exceptions are recorded inline, next to the code
+// (`//cardopc:allow <analyzer> reason`). selfcheck_test.go runs the full
+// suite over the module on every `go test ./...`, so the gate cannot rot.
 package analysis
 
 import (
@@ -42,7 +41,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one named check. Run inspects the package held by the
 // Pass and reports findings through it.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, allowlists and -only
+	// Name identifies the analyzer in diagnostics, allow directives and -only
 	// flags. Lower-case, no spaces.
 	Name string
 	// Doc is a one-line description shown by cardopc-vet -help.
@@ -110,8 +109,7 @@ func ByName(name string) (*Analyzer, bool) {
 // diagnostics sorted by position. Each package's inline
 // `//cardopc:allow` directives are honoured here (a directive only
 // suppresses diagnostics in its own file, so per-package filtering is
-// exact); file-based allowlisting is applied separately so callers can
-// distinguish suppressed findings from absent ones.
+// exact).
 func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range mod.Pkgs {

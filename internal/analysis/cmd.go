@@ -10,10 +10,6 @@ import (
 	"strings"
 )
 
-// DefaultAllowlistName is the allowlist file cardopc-vet picks up from
-// the module root when -allowlist is not given.
-const DefaultAllowlistName = ".cardopc-vet-allow"
-
 // CLIMain implements the cardopc-vet command: it loads the module
 // containing the target directory, runs the analyzer suite and prints
 // diagnostics. Exit codes: 0 clean, 1 diagnostics reported, 2 usage or
@@ -23,10 +19,9 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cardopc-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array")
-		only      = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		allowPath = fs.String("allowlist", "", "allowlist file (default: <module root>/"+DefaultAllowlistName+" when present)")
-		list      = fs.Bool("analyzers", false, "list available analyzers and exit")
+		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON array")
+		only    = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list    = fs.Bool("analyzers", false, "list available analyzers and exit")
 	)
 	fs.Usage = func() {
 		fprintf(stderr, "usage: cardopc-vet [flags] [dir]\n\nRuns the CardOPC static-analysis suite over the module containing dir\n(default \".\"). The conventional invocation is:\n\n\tgo run ./cmd/cardopc-vet ./...\n\nFlags:\n")
@@ -79,27 +74,12 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var allow *Allowlist
-	path := *allowPath
-	if path == "" {
-		if p := filepath.Join(root, DefaultAllowlistName); fileExists(p) {
-			path = p
-		}
-	}
-	if path != "" {
-		allow, err = ParseAllowlist(path)
-		if err != nil {
-			fprintf(stderr, "cardopc-vet: %v\n", err)
-			return 2
-		}
-	}
-
 	mod, err := LoadModule(root)
 	if err != nil {
 		fprintf(stderr, "cardopc-vet: %v\n", err)
 		return 2
 	}
-	diags := allow.Filter(root, Run(mod, analyzers))
+	diags := Run(mod, analyzers)
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

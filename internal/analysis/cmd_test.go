@@ -65,13 +65,13 @@ func TestCLIJSONOutput(t *testing.T) {
 
 func TestCLIAllowlistSuppresses(t *testing.T) {
 	dir := writeTempModule(t)
-	allow := filepath.Join(dir, "allow.txt")
-	if err := os.WriteFile(allow, []byte("floatcmp lib.go:4 # smoke-test exception\n"), 0o644); err != nil {
+	lib := "package lib\n\nfunc cmp(a, b float64) bool {\n\treturn a*2 == b //cardopc:allow floatcmp smoke-test exception\n}\n"
+	if err := os.WriteFile(filepath.Join(dir, "lib.go"), []byte(lib), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errb strings.Builder
-	if code := CLIMain([]string{"-allowlist=" + allow, dir}, &out, &errb); code != 0 {
-		t.Errorf("allowlisted run should pass, exit = %d:\n%s%s", code, out.String(), errb.String())
+	if code := CLIMain([]string{dir}, &out, &errb); code != 0 {
+		t.Errorf("allowed run should pass, exit = %d:\n%s%s", code, out.String(), errb.String())
 	}
 }
 
@@ -84,72 +84,5 @@ func TestCLIListsAnalyzers(t *testing.T) {
 		if !strings.Contains(out.String(), a.Name) {
 			t.Errorf("analyzer %s missing from listing", a.Name)
 		}
-	}
-}
-
-func TestParseAllowlistRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "allow.txt")
-	for _, bad := range []string{"justonefield\n", "floatcmp a.go:zero\n"} {
-		if err := os.WriteFile(p, []byte(bad), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ParseAllowlist(p); err == nil {
-			t.Errorf("ParseAllowlist accepted %q", bad)
-		}
-	}
-}
-
-// TestAllowlistStale pins stale-entry detection: an allowlist entry
-// that suppresses a finding is in use, and once the violation is fixed
-// the same entry reads as stale.
-func TestAllowlistStale(t *testing.T) {
-	dir := t.TempDir()
-	writeFixtureModule(t, dir)
-	allowPath := filepath.Join(dir, DefaultAllowlistName)
-	if err := os.WriteFile(allowPath, []byte("detorder b/b.go # fixture exception\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	vet := func() *Allowlist {
-		t.Helper()
-		mod, err := LoadModule(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allow, err := ParseAllowlist(allowPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range allow.Filter(dir, Run(mod, All())) {
-			if d.Analyzer == "detorder" {
-				t.Errorf("allowlisted detorder diagnostic survived: %v", d)
-			}
-		}
-		return allow
-	}
-
-	if stale := vet().Stale(); len(stale) != 0 {
-		t.Fatalf("entry should have matched, got stale: %v", stale[0])
-	}
-
-	// Fix the violation: the entry no longer matches anything.
-	fixed := `package b
-
-import "fixturemod/a"
-
-func AnyZero(m map[string]float64) bool {
-	for _, v := range m {
-		if a.Eq(v, 0) {
-			return true
-		}
-	}
-	return false
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "b", "b.go"), []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if stale := vet().Stale(); len(stale) != 1 || stale[0].Analyzer != "detorder" {
-		t.Fatalf("want the detorder entry stale after the fix, got %v", stale)
 	}
 }

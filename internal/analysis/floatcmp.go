@@ -58,7 +58,7 @@ func runFloatCmp(pass *Pass) {
 			case xc && isPlainValue(cmp.Y), yc && isPlainValue(cmp.X):
 				return true // sentinel test of a stored value
 			}
-			pass.Reportf(cmp.OpPos, "%s on float operands; use an epsilon comparison (geom.ApproxEq-style) or mark //cardopc:allow floatcmp", cmp.Op)
+			pass.Reportf(cmp.OpPos, "%s on float operands; use an epsilon comparison (Pt.ApproxEq-style) or mark //cardopc:allow floatcmp", cmp.Op)
 			return true
 		})
 	}

@@ -134,30 +134,6 @@ func LoadModule(root string) (*Module, error) {
 	return mod, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the
-// given import path, resolving all imports through the stdlib source
-// importer. It serves the analyzer fixture tests, which live outside
-// any module.
-func LoadDir(dir, path string) (*Module, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	pkg, err := parseDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil {
-		return nil, fmt.Errorf("analysis: no Go sources in %s", dir)
-	}
-	pkg.Path = path
-	if err := typeCheck(fset, pkg, newModuleImporter(fset, nil)); err != nil {
-		return nil, err
-	}
-	return &Module{Fset: fset, Path: path, Root: dir, Pkgs: []*Package{pkg}}, nil
-}
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

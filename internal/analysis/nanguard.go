@@ -20,8 +20,8 @@ import (
 //     or accumulation, when the function never checks that variable
 //     with math.IsNaN/math.IsInf (or a Finite/Safe* helper).
 //
-// Clamped wrappers (geom.SafeSqrt, geom.SafeAcos, geom.SafeDiv) are
-// approved sources: they cannot produce NaN for finite inputs.
+// Clamped wrappers named SafeSqrt, SafeAcos, SafeAsin, SafeDiv or SafeLog
+// are approved sources: they cannot produce NaN for finite inputs.
 var NaNGuard = &Analyzer{
 	Name: "nanguard",
 	Doc:  "require NaN/Inf guards on domain-limited math results before indexing or accumulation",
@@ -114,7 +114,7 @@ func nanGuardFunc(pass *Pass, body *ast.BlockStmt) {
 
 	// Pass 2: flag risky values reaching indexes or accumulations.
 	report := func(at token.Pos, what string) {
-		pass.Reportf(at, "%s feeds an index/accumulation without a math.IsNaN/IsInf guard; clamp the domain (geom.Safe* helpers) or guard the value", what)
+		pass.Reportf(at, "%s feeds an index/accumulation without a math.IsNaN/IsInf guard; clamp the domain or guard the value", what)
 	}
 	checkUse := func(e ast.Expr, context string) {
 		if nanRiskyExpr(pass, e) {

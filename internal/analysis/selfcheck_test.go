@@ -1,16 +1,11 @@
 package analysis
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestSelfCheck is the standing correctness gate: it runs the full
 // analyzer suite over this module and fails on any diagnostic that is
-// not covered by an inline //cardopc:allow directive or the root
-// allowlist file. Because it runs under plain `go test ./...`, every
-// future PR inherits the gate automatically.
+// not covered by an inline //cardopc:allow directive. Because it runs
+// under plain `go test ./...`, every future change inherits the gate.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-check loads and type-checks the whole module")
@@ -32,27 +27,7 @@ func TestSelfCheck(t *testing.T) {
 		}
 	}
 
-	var allow *Allowlist
-	if p := filepath.Join(root, DefaultAllowlistName); fileReadable(p) {
-		allow, err = ParseAllowlist(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	diags := allow.Filter(root, Run(mod, All()))
-	for _, d := range diags {
+	for _, d := range Run(mod, All()) {
 		t.Errorf("%v", d)
 	}
-	// An allowlist entry that matches nothing is debt: either the
-	// violation was fixed (delete the entry) or the code moved (re-pin
-	// it).
-	for _, ent := range allow.Stale() {
-		t.Errorf("stale allowlist entry: %s %s:%d (%s)", ent.Analyzer, ent.Path, ent.Line, ent.Reason)
-	}
-}
-
-func fileReadable(path string) bool {
-	info, err := os.Stat(path)
-	return err == nil && !info.IsDir()
 }

@@ -63,7 +63,7 @@ func TestNewMaskStructure(t *testing.T) {
 func TestShapeNormalsPointOutward(t *testing.T) {
 	cfg := ViaConfig()
 	sq := centredSquare(70)
-	s := NewShape(ControlPoints(sq, cfg), cfg.Spline, cfg.Tension, false)
+	s := NewShape(ctrlPositions(sq, cfg), cfg.Spline, cfg.Tension, false)
 	poly := s.PolyCopy(8)
 	for i := range s.Ctrl {
 		probe := s.Ctrl[i].Add(s.Normal[i].Mul(10))

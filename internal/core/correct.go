@@ -56,8 +56,8 @@ func NewOptimizer(sim *litho.Simulator, targets []geom.Polygon, cfg Config) *Opt
 
 // NewOptimizerWithMask runs the correction loop over a caller-built mask —
 // the entry point for the ILT-initialised flow, where the control loops
-// come from fitting an ILT result instead of from dissection. Shapes whose
-// probes were not assigned fall back to probing at their anchors.
+// come from fitting an ILT result instead of from dissection. Shapes that did
+// not come from dissection probe at their anchors.
 func NewOptimizerWithMask(sim *litho.Simulator, mask *Mask, targets []geom.Polygon, cfg Config) *Optimizer {
 	o := &Optimizer{
 		cfg:     cfg,
@@ -129,7 +129,7 @@ func (o *Optimizer) Step(it int) float64 {
 
 	// ③ Connect control points and ④ simulate, on the rows ⑤ reads. The
 	// row set is rebuilt every step: it costs less than measuring the
-	// EPE, and probes may change between steps (AssignProbes, Reset).
+	// EPE, and probes may change between steps (Reset).
 	rsp := o.scope.Start("opc.rasterize")
 	o.mask.rasterizeInto(o.field, o.holeScratch(), o.cfg.SamplesPerSeg, 4)
 	rsp.End()

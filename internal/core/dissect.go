@@ -45,65 +45,6 @@ func DissectEdge(e geom.Seg, lc, lu float64) []Segment {
 	return out
 }
 
-// Dissect fragments every edge of poly (paper Fig. 3b).
-func Dissect(poly geom.Polygon, lc, lu float64) []Segment {
-	var out []Segment
-	for i := range poly {
-		out = append(out, DissectEdge(poly.Edge(i), lc, lu)...)
-	}
-	return out
-}
-
-// ControlPoints generates the CardOPC control points of a target polygon
-// (paper Fig. 3c): the midpoint of every dissection fragment, plus one
-// spline-interpolated corner control point between the fragments meeting at
-// each polygon corner. The polygon is normalised to counter-clockwise
-// orientation first so that outward normals are consistent.
-func ControlPoints(poly geom.Polygon, cfg Config) []geom.Pt {
-	pts, _ := ControlPointsTagged(poly, cfg)
-	return pts
-}
-
-// ControlPointsTagged is ControlPoints plus a parallel slice marking the
-// corner control points. Corner EPE cannot be driven to zero at optical
-// resolution (corners always round), so the correction loop treats corner
-// points as followers: they move only through the Eq. (7) smoothing of
-// their neighbours.
-func ControlPointsTagged(poly geom.Polygon, cfg Config) ([]geom.Pt, []bool) {
-	poly = poly.Clone().EnsureCCW()
-	segs := Dissect(poly, cfg.CornerSegLen, cfg.UniformSegLen)
-	if len(segs) == 0 {
-		return nil, nil
-	}
-	basis := spline.NewBasis(cfg.Tension)
-	var ctrl []geom.Pt
-	var corner []bool
-	n := len(segs)
-	for i, s := range segs {
-		ctrl = append(ctrl, s.Seg.Mid())
-		corner = append(corner, false)
-		next := segs[(i+1)%n]
-		// A polygon corner lies between fragment i and i+1 exactly when
-		// their shared endpoint is an original vertex (both flagged Corner,
-		// or the edge was short enough to be one fragment).
-		if s.Corner && next.Corner && s.Seg.B == next.Seg.A {
-			// Interpolate the two fragment midpoints through the corner
-			// with a cardinal segment whose neighbours are the fragment
-			// far endpoints; t=0.5 lands near (but inside) the corner.
-			w := basis.Weights(0.5)
-			p := geom.Pt{
-				X: w[0]*s.Seg.A.X + w[1]*s.Seg.Mid().X + w[2]*next.Seg.Mid().X + w[3]*next.Seg.B.X,
-				Y: w[0]*s.Seg.A.Y + w[1]*s.Seg.Mid().Y + w[2]*next.Seg.Mid().Y + w[3]*next.Seg.B.Y,
-			}
-			// Blend toward the true corner vertex for initial fidelity.
-			cv := s.Seg.B
-			ctrl = append(ctrl, p.Lerp(cv, 0.7))
-			corner = append(corner, true)
-		}
-	}
-	return ctrl, corner
-}
-
 // CtrlPoint is one generated control point together with its EPE probe:
 // the conventional measure point on the target edge the point came from.
 // Aligning the correction feedback with the measurement convention (edge

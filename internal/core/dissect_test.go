@@ -61,16 +61,28 @@ func TestDissectEdgeLong(t *testing.T) {
 func TestDissectPolygonCount(t *testing.T) {
 	// 70 nm square with lc=20, lu=30: each edge -> [20][30][20] = 3 frags.
 	sq := geom.Rect{Min: geom.P(0, 0), Max: geom.P(70, 70)}.Poly()
-	segs := Dissect(sq, 20, 30)
-	if len(segs) != 12 {
-		t.Fatalf("fragments = %d, want 12", len(segs))
+	n := 0
+	for i := range sq {
+		n += len(DissectEdge(sq.Edge(i), 20, 30))
 	}
+	if n != 12 {
+		t.Fatalf("fragments = %d, want 12", n)
+	}
+}
+
+// ctrlPositions returns the positions of BuildControlPoints' output.
+func ctrlPositions(poly geom.Polygon, cfg Config) []geom.Pt {
+	var pts []geom.Pt
+	for _, cp := range BuildControlPoints(poly, cfg) {
+		pts = append(pts, cp.Pos)
+	}
+	return pts
 }
 
 func TestControlPointsVia(t *testing.T) {
 	cfg := ViaConfig()
 	sq := geom.Rect{Min: geom.P(0, 0), Max: geom.P(70, 70)}.Poly()
-	ctrl := ControlPoints(sq, cfg)
+	ctrl := ctrlPositions(sq, cfg)
 	// 12 fragment midpoints + 4 corner control points.
 	if len(ctrl) != 16 {
 		t.Fatalf("control points = %d, want 16", len(ctrl))
@@ -90,8 +102,8 @@ func TestControlPointsOrientationNormalised(t *testing.T) {
 	sq := geom.Rect{Min: geom.P(0, 0), Max: geom.P(70, 70)}.Poly()
 	cw := sq.Clone()
 	cw.Reverse()
-	a := ControlPoints(sq, cfg)
-	b := ControlPoints(cw, cfg)
+	a := ctrlPositions(sq, cfg)
+	b := ctrlPositions(cw, cfg)
 	if len(a) != len(b) {
 		t.Fatalf("orientation changes control count: %d vs %d", len(a), len(b))
 	}
@@ -104,7 +116,7 @@ func TestControlPointsOrientationNormalised(t *testing.T) {
 }
 
 func TestControlPointsEmpty(t *testing.T) {
-	if got := ControlPoints(geom.Polygon{}, ViaConfig()); got != nil {
+	if got := BuildControlPoints(geom.Polygon{}, ViaConfig()); got != nil {
 		t.Errorf("empty polygon: %v", got)
 	}
 }

@@ -40,10 +40,6 @@ type Shape struct {
 	smoothed []geom.Pt // per-step smoothing scratch (Eq. 7)
 }
 
-// LastEPE returns the most recent per-control-point EPE measurements (nil
-// before the first correction step).
-func (s *Shape) LastEPE() []float64 { return s.epe }
-
 // NewShape builds a mask shape over ctrl. The loop shares the ctrl slice, so
 // mutating Ctrl in place moves the spline.
 func NewShape(ctrl []geom.Pt, kind spline.Kind, tension float64, sraf bool) *Shape {
@@ -217,17 +213,6 @@ func (m *Mask) AddFittedShapes(loops [][]geom.Pt, cfg Config, sraf bool) {
 		}
 		m.Shapes = append(m.Shapes, NewShape(ctrl, cfg.Spline, cfg.Tension, sraf))
 	}
-}
-
-// AssignProbes sets the shape's EPE probes explicitly (used when control
-// loops come from ILT fitting and must be corrected against the *target*
-// geometry's measure points rather than their own anchors). The slice
-// length must match the control-point count.
-func (s *Shape) AssignProbes(probes []metrics.Probe) {
-	if len(probes) != len(s.Ctrl) {
-		panic("core: probe count must match control points")
-	}
-	s.probes = append([]metrics.Probe(nil), probes...)
 }
 
 // AddHoleShapes appends fitted hole loops: rasterisation subtracts them,

@@ -1,10 +1,9 @@
 // Package fft provides hand-written fast Fourier transforms used by the
-// lithography simulator and the pixel ILT engine: an iterative radix-2
-// complex FFT that runs two butterfly stages per pass, 2-D transforms
-// whose column passes run in place on the grid, real-input transforms
-// parallelised over a persistent worker pool, fftshift helpers and
-// pooled scratch workspaces so the litho hot path runs allocation-free
-// in steady state.
+// lithography simulator and the pixel ILT engine: 2-D transforms built on
+// an iterative radix-2 complex FFT that runs two butterfly stages per pass,
+// with column passes in place on the grid, real-input transforms
+// parallelised over a persistent worker pool, and pooled scratch
+// workspaces so the litho hot path runs allocation-free in steady state.
 //
 // All transforms are in-place over []complex128 and require power-of-two
 // lengths; Pow2Ceil helps callers pick grid sizes.
@@ -141,48 +140,6 @@ func evictLRUPlanLocked() {
 		}
 	}
 	delete(plans, victim)
-}
-
-// planCount reports the live plan-cache size (test hook).
-func planCount() int {
-	planMu.RLock()
-	defer planMu.RUnlock()
-	return len(plans)
-}
-
-// planSizes reports the resident plan sizes, unordered (test hook).
-func planSizes() map[int]bool {
-	planMu.RLock()
-	defer planMu.RUnlock()
-	out := make(map[int]bool, len(plans))
-	for k := range plans {
-		out[k] = true
-	}
-	return out
-}
-
-// resetPlans empties the plan cache (test hook): eviction tests need a
-// known starting population.
-func resetPlans() {
-	planMu.Lock()
-	plans = map[int]*plan{}
-	planMu.Unlock()
-}
-
-// Forward computes the in-place forward DFT of x. len(x) must be a power of
-// two.
-func Forward(x []complex128) {
-	transform(x, false)
-}
-
-// Inverse computes the in-place inverse DFT of x, including the 1/n
-// normalisation. len(x) must be a power of two.
-func Inverse(x []complex128) {
-	transform(x, true)
-	n := float64(len(x))
-	for i := range x {
-		x[i] /= complex(n, 0)
-	}
 }
 
 // transform runs the unnormalised DFT of x in place; len(x) must be a
@@ -377,20 +334,6 @@ func (g *Grid2) At(x, y int) complex128 { return g.Data[y*g.W+x] }
 // Set stores v at (x, y).
 func (g *Grid2) Set(x, y int, v complex128) { g.Data[y*g.W+x] = v }
 
-// Clone returns a deep copy of g.
-func (g *Grid2) Clone() *Grid2 {
-	out := NewGrid2(g.W, g.H)
-	copy(out.Data, g.Data)
-	return out
-}
-
-// Fill sets every element of g to v.
-func (g *Grid2) Fill(v complex128) {
-	for i := range g.Data {
-		g.Data[i] = v
-	}
-}
-
 // Forward2 computes the in-place forward 2-D DFT of g (rows then columns)
 // on the caller's goroutine. Its callers are kernel-sized transforms
 // that already run one per worker, so a fan-out would only contend for
@@ -434,24 +377,5 @@ func transform2(g *Grid2, inverse bool) {
 	}
 	for c0 := 0; c0 < g.W; c0 += colChunk {
 		pc.columns(g.Data, g.W, c0, min(colChunk, g.W-c0), inverse)
-	}
-}
-
-// Shift2 swaps quadrants in place so the zero-frequency bin moves between
-// corner and centre (self-inverse). Odd dimensions have no quadrant
-// decomposition — the swap would scramble the grid — so they panic,
-// matching transform's contract for invalid sizes.
-func Shift2(g *Grid2) {
-	if g.W%2 != 0 || g.H%2 != 0 {
-		panic(fmt.Sprintf("fft: Shift2 requires even dimensions, got %dx%d", g.W, g.H))
-	}
-	hw, hh := g.W/2, g.H/2
-	for y := 0; y < hh; y++ {
-		for x := 0; x < g.W; x++ {
-			x2 := (x + hw) % g.W
-			y2 := y + hh
-			i, j := y*g.W+x, y2*g.W+x2
-			g.Data[i], g.Data[j] = g.Data[j], g.Data[i]
-		}
 	}
 }

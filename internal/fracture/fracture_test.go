@@ -9,6 +9,16 @@ import (
 	"cardopc/internal/spline"
 )
 
+// Poly returns the trapezoid as a counter-clockwise polygon.
+func (t Trapezoid) Poly() geom.Polygon {
+	return geom.Polygon{
+		geom.P(t.XL0, t.Y0),
+		geom.P(t.XR0, t.Y0),
+		geom.P(t.XR1, t.Y1),
+		geom.P(t.XL1, t.Y1),
+	}
+}
+
 func TestFractureRectangle(t *testing.T) {
 	poly := geom.Rect{Min: geom.P(0, 0), Max: geom.P(100, 40)}.Poly()
 	traps := Fracture(poly, DefaultOptions())

@@ -121,15 +121,6 @@ func (g Polygon) Edge(i int) Seg {
 	return Seg{g[i%n], g[(i+1)%n]}
 }
 
-// Edges returns all edges of g.
-func (g Polygon) Edges() []Seg {
-	out := make([]Seg, len(g))
-	for i := range g {
-		out[i] = g.Edge(i)
-	}
-	return out
-}
-
 // IntersectsSeg reports whether segment s touches or crosses the boundary
 // of g.
 func (g Polygon) IntersectsSeg(s Seg) bool {
@@ -147,42 +138,11 @@ func (g Polygon) IntersectsSeg(s Seg) bool {
 	return false
 }
 
-// SegDist returns the minimum distance from segment s to the boundary of g.
-func (g Polygon) SegDist(s Seg) float64 {
-	d := math.Inf(1)
-	for i := range g {
-		if v := g.Edge(i).DistSeg(s); v < d {
-			d = v
-		}
-	}
-	return d
-}
-
-// Dist returns the minimum distance from point p to the boundary of g.
-func (g Polygon) Dist(p Pt) float64 {
-	d := math.Inf(1)
-	for i := range g {
-		if v := g.Edge(i).Dist(p); v < d {
-			d = v
-		}
-	}
-	return d
-}
-
 // Translate returns g shifted by d.
 func (g Polygon) Translate(d Pt) Polygon {
 	out := make(Polygon, len(g))
 	for i, p := range g {
 		out[i] = p.Add(d)
-	}
-	return out
-}
-
-// Scale returns g scaled by k about the origin.
-func (g Polygon) Scale(k float64) Polygon {
-	out := make(Polygon, len(g))
-	for i, p := range g {
-		out[i] = p.Mul(k)
 	}
 	return out
 }

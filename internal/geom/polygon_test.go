@@ -105,12 +105,6 @@ func TestPolyDistAndSegDist(t *testing.T) {
 	if d := PolyDist(a, unitSquare().Translate(P(5, 5))); d != 0 {
 		t.Errorf("overlapping PolyDist = %v, want 0", d)
 	}
-	if d := a.SegDist(Seg{P(13, 5), P(20, 5)}); d != 3 {
-		t.Errorf("SegDist = %v, want 3", d)
-	}
-	if d := a.Dist(P(13, 5)); d != 3 {
-		t.Errorf("Dist = %v, want 3", d)
-	}
 }
 
 func TestTranslateScale(t *testing.T) {
@@ -119,13 +113,9 @@ func TestTranslateScale(t *testing.T) {
 	if tr[0] != P(1, 2) || tr[2] != P(11, 12) {
 		t.Errorf("Translate wrong: %v", tr)
 	}
-	sc := sq.Scale(2)
-	if sc.Area() != 400 {
-		t.Errorf("Scale area = %v", sc.Area())
-	}
-	// Originals untouched.
+	// Original untouched.
 	if sq[0] != P(0, 0) {
-		t.Error("Translate/Scale must not mutate")
+		t.Error("Translate must not mutate")
 	}
 }
 
@@ -166,12 +156,11 @@ func TestIsRectilinear(t *testing.T) {
 
 func TestEdges(t *testing.T) {
 	sq := unitSquare()
-	es := sq.Edges()
-	if len(es) != 4 {
-		t.Fatalf("edges = %d", len(es))
+	if e := sq.Edge(3); e != (Seg{P(0, 10), P(0, 0)}) {
+		t.Errorf("closing edge = %v", e)
 	}
-	if es[3] != (Seg{P(0, 10), P(0, 0)}) {
-		t.Errorf("closing edge = %v", es[3])
+	if sq.Edge(4) != sq.Edge(0) {
+		t.Errorf("Edge(4) = %v, want Edge(0) = %v", sq.Edge(4), sq.Edge(0))
 	}
 }
 
@@ -227,19 +216,6 @@ func TestCentroidInsideProperty(t *testing.T) {
 		g := randPoly(r, 6+r.Intn(8))
 		if !g.Contains(g.Centroid()) {
 			t.Fatalf("centroid %v outside star polygon", g.Centroid())
-		}
-	}
-}
-
-// Property: scaling by k scales area by k^2.
-func TestScaleAreaProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		g := randPoly(r, 7)
-		k := 0.5 + 2*r.Float64()
-		want := g.Area() * k * k
-		if got := g.Scale(k).Area(); math.Abs(got-want) > 1e-6*want {
-			t.Fatalf("scaled area = %v, want %v", got, want)
 		}
 	}
 }

@@ -83,19 +83,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// Contains reports whether p lies in the closed rect r.
-func (r Rect) Contains(p Pt) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// ContainsRect reports whether s lies entirely within r.
-func (r Rect) ContainsRect(s Rect) bool {
-	if s.Empty() {
-		return true
-	}
-	return r.Contains(s.Min) && r.Contains(s.Max)
-}
-
 // Inset returns r shrunk by d on every side (negative d grows the rect).
 // Shrinking past the centre yields an empty rect.
 func (r Rect) Inset(d float64) Rect {
@@ -107,21 +94,6 @@ func (r Rect) Inset(d float64) Rect {
 
 // Expand returns r grown by d on every side.
 func (r Rect) Expand(d float64) Rect { return r.Inset(-d) }
-
-// Enlarged returns the increase in half-perimeter needed for r to cover s.
-// This is the R-tree insertion cost metric.
-func (r Rect) Enlarged(s Rect) float64 {
-	u := r.Union(s)
-	return (u.W() + u.H()) - (r.W() + r.H())
-}
-
-// DistSq returns the squared distance from p to the closed rect r (0 when p
-// is inside).
-func (r Rect) DistSq(p Pt) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return dx*dx + dy*dy
-}
 
 // Corners returns the four corners of r in counter-clockwise order starting
 // at Min.

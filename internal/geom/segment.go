@@ -70,25 +70,6 @@ func (s Seg) Intersects(t Seg) bool {
 	return false
 }
 
-// Intersection returns the intersection point of non-parallel segments s and
-// t and true, or the zero point and false when the segments do not cross at
-// a single interior/endpoint location.
-func (s Seg) Intersection(t Seg) (Pt, bool) {
-	r := s.B.Sub(s.A)
-	q := t.B.Sub(t.A)
-	den := r.Cross(q)
-	if den == 0 {
-		return Pt{}, false
-	}
-	d := t.A.Sub(s.A)
-	u := d.Cross(q) / den
-	v := d.Cross(r) / den
-	if u < -segEps || u > 1+segEps || v < -segEps || v > 1+segEps {
-		return Pt{}, false
-	}
-	return s.At(clamp01(u)), true
-}
-
 func clamp01(t float64) float64 {
 	if t < 0 {
 		return 0

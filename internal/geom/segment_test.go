@@ -51,23 +51,6 @@ func TestSegIntersects(t *testing.T) {
 	}
 }
 
-func TestSegIntersection(t *testing.T) {
-	s := Seg{P(0, 0), P(10, 10)}
-	u := Seg{P(0, 10), P(10, 0)}
-	p, ok := s.Intersection(u)
-	if !ok || !p.ApproxEq(P(5, 5), 1e-9) {
-		t.Errorf("Intersection = %v, %v", p, ok)
-	}
-	// Parallel segments: no single intersection.
-	if _, ok := s.Intersection(Seg{P(1, 0), P(11, 10)}); ok {
-		t.Error("parallel should not intersect at a point")
-	}
-	// Non-overlapping skew.
-	if _, ok := s.Intersection(Seg{P(20, 0), P(30, 1)}); ok {
-		t.Error("disjoint should not intersect")
-	}
-}
-
 func TestClosestPointAndDist(t *testing.T) {
 	s := Seg{P(0, 0), P(10, 0)}
 	q, tt := s.ClosestPoint(P(5, 3))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -17,7 +18,7 @@ import (
 //	poly ...
 //
 // Blank lines and lines starting with '#' are ignored. Coordinates are
-// nanometres.
+// finite nanometres; the size is finite and positive.
 
 // WriteClip serialises c in the clip text format.
 func WriteClip(w io.Writer, c Clip) error {
@@ -57,6 +58,9 @@ func ReadClip(r io.Reader) (Clip, error) {
 			if err != nil {
 				return c, fmt.Errorf("layout: line %d: bad size: %v", line, err)
 			}
+			if !(size > 0) || math.IsInf(size, 1) {
+				return c, fmt.Errorf("layout: line %d: size %s is not finite and positive", line, fields[2])
+			}
 			c.SizeNM = size
 			sawHeader = true
 		case "poly":
@@ -69,11 +73,11 @@ func ReadClip(r io.Reader) (Clip, error) {
 			}
 			poly := make(geom.Polygon, 0, len(coords)/2)
 			for i := 0; i < len(coords); i += 2 {
-				x, err := strconv.ParseFloat(coords[i], 64)
+				x, err := parseCoord(coords[i])
 				if err != nil {
 					return c, fmt.Errorf("layout: line %d: bad x: %v", line, err)
 				}
-				y, err := strconv.ParseFloat(coords[i+1], 64)
+				y, err := parseCoord(coords[i+1])
 				if err != nil {
 					return c, fmt.Errorf("layout: line %d: bad y: %v", line, err)
 				}
@@ -91,4 +95,14 @@ func ReadClip(r io.Reader) (Clip, error) {
 		return c, fmt.Errorf("layout: missing clip header")
 	}
 	return c, nil
+}
+
+// parseCoord parses one coordinate. strconv.ParseFloat accepts "NaN" and
+// "Inf", but a non-finite vertex rasterises to an out-of-range pixel index.
+func parseCoord(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%s is not finite", s)
+	}
+	return v, err
 }

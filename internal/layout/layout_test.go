@@ -2,11 +2,23 @@ package layout
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cardopc/internal/geom"
 )
+
+// TotalArea returns the summed target area in nm².
+func (c Clip) TotalArea() float64 {
+	a := 0.0
+	for _, p := range c.Targets {
+		a += p.Area()
+	}
+	return a
+}
 
 func TestViaClipCounts(t *testing.T) {
 	want := []int{2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6, 6} // Table I #Vias
@@ -202,12 +214,58 @@ func TestReadClipErrors(t *testing.T) {
 		"clip x 100\npoly 0 0 1 0 1",   // odd coords
 		"clip x 100\npoly 0 0 1 0 1 z", // bad number
 		"clip x 100\nfrobnicate",       // unknown directive
+		"clip x NaN",                   // non-finite size
+		"clip x Inf",                   // non-finite size
+		"clip x 0",                     // zero size
+		"clip x -100",                  // negative size
+		"clip x 100\npoly 100 100 NaN 100 300 300 100 300",  // non-finite x
+		"clip x 100\npoly 100 100 300 -Inf 300 300 100 300", // non-finite y
 	}
 	for i, src := range cases {
-		if _, err := ReadClip(strings.NewReader(src)); err == nil {
+		_, err := ReadClip(strings.NewReader(src))
+		if err == nil {
 			t.Errorf("case %d: expected error", i)
+			continue
+		}
+		// Every case but the empty input fails on its last line.
+		want := fmt.Sprintf("line %d:", strings.Count(src, "\n")+1)
+		if src != "" && !strings.Contains(err.Error(), want) {
+			t.Errorf("case %d: error %q does not name %s", i, err, want)
 		}
 	}
+}
+
+// FuzzReadClip feeds arbitrary text to the clip parser: it never panics,
+// a clip it accepts has a finite positive size and finite coordinates,
+// and WriteClip then ReadClip returns that clip unchanged.
+func FuzzReadClip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ReadClip(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if !(c.SizeNM > 0) || math.IsInf(c.SizeNM, 1) {
+			t.Fatalf("accepted size %v", c.SizeNM)
+		}
+		for _, p := range c.Targets {
+			for _, v := range p {
+				if math.IsNaN(v.X) || math.IsInf(v.X, 0) || math.IsNaN(v.Y) || math.IsInf(v.Y, 0) {
+					t.Fatalf("accepted vertex %v", v)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteClip(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadClip(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", buf.String(), err)
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Fatalf("round trip changed the clip:\n%+v\n%+v", c, back)
+		}
+	})
 }
 
 func TestReadClipSkipsCommentsAndBlanks(t *testing.T) {

@@ -75,18 +75,3 @@ func (c *ProcessCache) GetScoped(sc obs.Scope, cfg Config, corners CornerSpec) *
 	e.once.Do(func() { e.proc = NewProcess(cfg, corners) })
 	return e.proc
 }
-
-// Stats reports cache effectiveness: distinct configurations built and
-// requests served from warm state.
-func (c *ProcessCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of distinct imaging setups resident.
-func (c *ProcessCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.procs)
-}

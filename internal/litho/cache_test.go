@@ -7,6 +7,21 @@ import (
 	"cardopc/internal/obs"
 )
 
+// Stats reports cache effectiveness: distinct configurations built and
+// requests served from warm state.
+func (c *ProcessCache) Stats() (hits, misses int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}
+
+// Len returns the number of distinct imaging setups resident.
+func (c *ProcessCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.procs)
+}
+
 // smallCfg is a cheap imaging config for cache tests.
 func smallCfg() Config {
 	cfg := DefaultConfig()

@@ -12,6 +12,18 @@ import (
 	"cardopc/internal/raster"
 )
 
+// Printed returns the binarised print image: pixels where the aerial
+// intensity reaches the resist threshold. The aerial image lives in
+// pooled scratch — only the returned binary is allocated.
+func (s *Simulator) Printed(mask *raster.Field) *raster.Binary {
+	ws := fft.GetWorkspace(s.cfg.GridSize, s.cfg.GridSize)
+	aerial := raster.Field{Grid: s.grid, Data: ws.Acc}
+	s.AerialInto(&aerial, mask, nil)
+	out := aerial.Threshold(s.cfg.Threshold)
+	ws.Release()
+	return out
+}
+
 // testConfig is a small, fast imager for unit tests: 256 px @ 8 nm covers
 // the same 2048 nm extent as the default config.
 func testConfig() Config {

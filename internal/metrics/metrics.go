@@ -33,14 +33,6 @@ type EPEResult struct {
 	Unresolved int
 }
 
-// Mean returns the mean |EPE| per probe (0 for no probes).
-func (r *EPEResult) Mean() float64 {
-	if len(r.PerProbe) == 0 {
-		return 0
-	}
-	return r.SumAbs / float64(len(r.PerProbe))
-}
-
 // EPEConfig controls EPE measurement.
 type EPEConfig struct {
 	// SearchNM bounds the bisection range along the probe normal.

@@ -87,17 +87,6 @@ func TestMeasureEPEUnresolvedEngulfed(t *testing.T) {
 	}
 }
 
-func TestEPEResultMean(t *testing.T) {
-	r := EPEResult{PerProbe: []float64{1, -3}, SumAbs: 4}
-	if r.Mean() != 2 {
-		t.Errorf("Mean = %v", r.Mean())
-	}
-	empty := EPEResult{}
-	if empty.Mean() != 0 {
-		t.Error("empty Mean should be 0")
-	}
-}
-
 func binWith(g raster.Grid, on [][2]int) *raster.Binary {
 	b := raster.NewBinary(g)
 	for _, p := range on {

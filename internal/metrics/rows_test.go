@@ -90,7 +90,7 @@ func TestMarkProbeRowsCoversMeasureEPE(t *testing.T) {
 						}
 					}
 				}
-				ext := g.Extent()
+				ext := float64(g.Size) * g.Pitch
 				ctrl = append(ctrl,
 					metrics.Probe{Pos: geom.P(ext/2, 10), Normal: geom.P(0, -1)},
 					metrics.Probe{Pos: geom.P(ext/3, ext-30), Normal: geom.P(0.6, 0.8)},
@@ -111,7 +111,7 @@ func TestMarkProbeRowsCoversMeasureEPE(t *testing.T) {
 func fuzzField(pitch float64) *raster.Field {
 	g := raster.Grid{Size: 32, Pitch: pitch}
 	f := raster.NewField(g)
-	c := g.Extent() / 2
+	c := float64(g.Size) * g.Pitch / 2
 	for y := 0; y < g.Size; y++ {
 		for x := 0; x < g.Size; x++ {
 			p := g.ToWorld(float64(x), float64(y))
@@ -138,7 +138,7 @@ func FuzzMarkProbeRows(f *testing.F) {
 		// origin, normals up to length 4·√2.
 		pitch = 0.5 + math.Mod(math.Abs(pitch), 64)
 		fld := fuzzField(pitch)
-		ext := fld.Extent()
+		ext := float64(fld.Size) * fld.Pitch
 		cfg := metrics.EPEConfig{SearchNM: math.Mod(math.Abs(searchNM), 64*pitch), ThresholdNM: 15, Ith: math.Mod(math.Abs(ith), 1.2)}
 		probe := metrics.Probe{
 			Pos:    geom.P(math.Mod(x, 2*ext), math.Mod(y, 2*ext)),

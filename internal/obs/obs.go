@@ -13,7 +13,7 @@
 // Instrumentation is disabled by default and every entry point is
 // nil-safe: with no State installed, obs.Start returns a zero Span,
 // obs.C / obs.G / obs.H return nil handles whose methods no-op, and
-// obs.Emit drops the record. The disabled path is one atomic pointer
+// Scope.Emit drops the record. The disabled path is one atomic pointer
 // load plus a branch — zero allocations, no time.Now() call — so hot
 // loops (FFT kernels, rasterisation, optimizer steps) carry their
 // instrumentation unconditionally. internal/obs/alloc_test.go pins the
@@ -31,7 +31,7 @@
 //
 //	obs.C("opc.iterations").Inc()
 //	obs.G("bigopc.workers.busy").Add(1)
-//	obs.Emit(&obs.OPCIter{Iter: it, Loss: loss})
+//	obs.ScopeFromContext(ctx).Emit(&obs.OPCIter{Iter: it, Loss: loss})
 //
 //	st.Tracer.WriteJSON(f)            // chrome://tracing file
 //
@@ -90,12 +90,6 @@ var global atomic.Pointer[State]
 // runs typically install once after flag parsing.
 func Setup(st *State) { global.Store(st) }
 
-// Enabled reports whether any observability state is installed.
-func Enabled() bool { return global.Load() != nil }
-
-// Current returns the installed state (nil when disabled).
-func Current() *State { return global.Load() }
-
 // Metrics returns the process-wide registry, or nil when disabled.
 func Metrics() *Registry {
 	st := global.Load()
@@ -116,19 +110,3 @@ func G(name string) *Gauge { return Metrics().Gauge(name) }
 // H returns the process-wide duration histogram with the given name
 // (nil when metrics are disabled; nil histograms no-op).
 func H(name string) *Histogram { return Metrics().Histogram(name, TimeBucketsMS) }
-
-// Emit writes one record to the process-wide telemetry stream; it
-// drops the record when telemetry is disabled. Ambient emission: the
-// record carries no job label (any stale label from a previous scoped
-// emit of a reused record is cleared). Work that belongs to a unit of
-// work emits through its Scope instead (see scope.go).
-//
-//cardopc:noalloc
-func Emit(rec Record) {
-	st := global.Load()
-	if st == nil {
-		return
-	}
-	rec.setJob("")
-	st.Telemetry.Emit(rec)
-}

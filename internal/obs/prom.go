@@ -49,25 +49,6 @@ func promName(name string) string {
 	return b.String()
 }
 
-// PromEscape escapes a label value per the exposition format:
-// backslash, double-quote and newline.
-func PromEscape(v string) string {
-	var b strings.Builder
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
 // promFloat renders a sample value: shortest round-trip for finite
 // values, the exposition spellings for the specials.
 func promFloat(v float64) string {

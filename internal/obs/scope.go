@@ -43,16 +43,6 @@ func (s Scope) WithRegistry(reg *Registry) Scope {
 	return s
 }
 
-// Job returns the scope's job label ("" for the ambient scope).
-func (s Scope) Job() string { return s.job }
-
-// Registry returns the scope's overlay registry (nil when none).
-func (s Scope) Registry() *Registry { return s.reg }
-
-// Enabled reports whether emitting through the scope reaches any sink:
-// the process-global state, or the scope's own overlay registry.
-func (s Scope) Enabled() bool { return s.reg != nil || global.Load() != nil }
-
 // Emit writes one record to the process-wide telemetry stream, stamped
 // with the scope's job label so routing sinks (the cardopcd event hub)
 // can attribute it exactly. The ambient scope stamps an empty label,
@@ -90,17 +80,6 @@ func (s Scope) SetGauge(name string, v float64) {
 		s.reg.Gauge(name).Set(v)
 	}
 	G(name).Set(v)
-}
-
-// Observe records v into the named duration histogram, globally and in
-// the overlay.
-//
-//cardopc:noalloc
-func (s Scope) Observe(name string, v float64) {
-	if s.reg != nil {
-		s.reg.Histogram(name, TimeBucketsMS).Observe(v)
-	}
-	H(name).Observe(v)
 }
 
 // Start opens a span on the main track; the scope's job label is

@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// Job returns the scope's job label ("" for the ambient scope).
+func (s Scope) Job() string { return s.job }
+
+// Registry returns the scope's overlay registry (nil when none).
+func (s Scope) Registry() *Registry { return s.reg }
+
+// Enabled reports whether emitting through the scope reaches any sink:
+// the process-global state, or the scope's own overlay registry.
+func (s Scope) Enabled() bool { return s.reg != nil || global.Load() != nil }
+
+// Observe records v into the named duration histogram, globally and in
+// the overlay.
+func (s Scope) Observe(name string, v float64) {
+	if s.reg != nil {
+		s.reg.Histogram(name, TimeBucketsMS).Observe(v)
+	}
+	H(name).Observe(v)
+}
+
 // captureRouter retains every routed (job, line) pair.
 type captureRouter struct {
 	mu    sync.Mutex

@@ -1,36 +1,8 @@
-// Package optim provides the hand-written first-order optimisers the
-// framework uses in place of PyTorch: plain gradient descent and Adam
-// (Kingma & Ba 2014, the paper's ref [44]), plus the step-decay learning
-// rate schedule the experiments use.
+// Package optim provides the hand-written Adam optimiser (Kingma & Ba
+// 2014, the paper's ref [44]) the framework uses in place of PyTorch.
 package optim
 
 import "math"
-
-// Optimizer updates a parameter vector in place from its gradient.
-type Optimizer interface {
-	// Step applies one update: params ← params - f(grad).
-	Step(params, grad []float64)
-	// Reset clears any accumulated state (moments, step counters).
-	Reset()
-}
-
-// SGD is plain gradient descent with a fixed learning rate.
-type SGD struct {
-	LR float64
-}
-
-// NewSGD returns an SGD optimiser with learning rate lr.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grad []float64) {
-	for i := range params {
-		params[i] -= s.LR * grad[i]
-	}
-}
-
-// Reset implements Optimizer (no state).
-func (s *SGD) Reset() {}
 
 // Adam implements the Adam optimiser with bias-corrected first and second
 // moments.
@@ -50,7 +22,9 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update, params ← params − LR·m̂/(√v̂+ε), in place. A
+// params length different from the previous call's starts from fresh
+// moments.
 func (a *Adam) Step(params, grad []float64) {
 	if len(a.m) != len(params) {
 		a.m = make([]float64, len(params))
@@ -68,29 +42,4 @@ func (a *Adam) Step(params, grad []float64) {
 		vHat := a.v[i] / b2t
 		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
 	}
-}
-
-// Reset implements Optimizer.
-func (a *Adam) Reset() {
-	a.m, a.v, a.t = nil, nil, 0
-}
-
-// StepDecay is the learning-rate/moving-distance schedule the paper's
-// experiments use: the base value multiplied by Factor every time the
-// iteration count reaches a milestone (e.g. ×0.5 at iteration 16 of 32).
-type StepDecay struct {
-	Base       float64
-	Factor     float64
-	Milestones []int
-}
-
-// At returns the scheduled value at iteration it (0-based).
-func (s StepDecay) At(it int) float64 {
-	v := s.Base
-	for _, m := range s.Milestones {
-		if it >= m {
-			v *= s.Factor
-		}
-	}
-	return v
 }

@@ -109,11 +109,6 @@ func Verify(proc *litho.Process, maskPolys, targets []geom.Polygon, cfg Config) 
 	return out
 }
 
-// VerifyAerial runs the checks against one pre-computed aerial image.
-func VerifyAerial(corner string, aerial *raster.Field, th float64, targets []geom.Polygon, cfg Config) []Defect {
-	return verifyCorner(corner, aerial, th, targets, cfg)
-}
-
 func verifyCorner(corner string, aerial *raster.Field, th float64, targets []geom.Polygon, cfg Config) []Defect {
 	var out []Defect
 	printed := aerial.Threshold(th)

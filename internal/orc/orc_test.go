@@ -34,7 +34,7 @@ func TestVerifyCleanPrint(t *testing.T) {
 	}
 	// Print exactly the targets.
 	aerial := aerialFromBlobs(g, targets)
-	ds := VerifyAerial("nominal", aerial, 0.225, targets, DefaultConfig())
+	ds := verifyCorner("nominal", aerial, 0.225, targets, DefaultConfig())
 	if len(ds) != 0 {
 		t.Errorf("clean print reported %d defects: %v", len(ds), ds)
 	}
@@ -48,7 +48,7 @@ func TestVerifyMissing(t *testing.T) {
 	}
 	// Only the first target prints.
 	aerial := aerialFromBlobs(g, targets[:1])
-	ds := VerifyAerial("nominal", aerial, 0.225, targets, DefaultConfig())
+	ds := verifyCorner("nominal", aerial, 0.225, targets, DefaultConfig())
 	counts := Count(ds)
 	if counts[Missing] != 1 {
 		t.Errorf("missing = %d, want 1 (%v)", counts[Missing], ds)
@@ -69,7 +69,7 @@ func TestVerifyBridge(t *testing.T) {
 	// One printed blob spanning both targets.
 	blob := geom.Rect{Min: geom.P(60, 200), Max: geom.P(420, 280)}.Poly()
 	aerial := aerialFromBlobs(g, []geom.Polygon{blob})
-	ds := VerifyAerial("nominal", aerial, 0.225, targets, DefaultConfig())
+	ds := verifyCorner("nominal", aerial, 0.225, targets, DefaultConfig())
 	if Count(ds)[Bridge] == 0 {
 		t.Errorf("bridge not detected: %v", ds)
 	}
@@ -86,7 +86,7 @@ func TestVerifyNeck(t *testing.T) {
 		geom.P(300, 272), geom.P(200, 272), geom.P(200, 300), geom.P(100, 300),
 	}
 	aerial := aerialFromBlobs(g, []geom.Polygon{printShape})
-	ds := VerifyAerial("nominal", aerial, 0.225, []geom.Polygon{target}, DefaultConfig())
+	ds := verifyCorner("nominal", aerial, 0.225, []geom.Polygon{target}, DefaultConfig())
 	counts := Count(ds)
 	if counts[Neck] == 0 {
 		t.Errorf("neck not detected: %v", ds)
@@ -104,7 +104,7 @@ func TestVerifyExtraPrint(t *testing.T) {
 	target := geom.Rect{Min: geom.P(60, 60), Max: geom.P(180, 180)}.Poly()
 	stray := geom.Rect{Min: geom.P(340, 340), Max: geom.P(400, 400)}.Poly()
 	aerial := aerialFromBlobs(g, []geom.Polygon{target, stray})
-	ds := VerifyAerial("nominal", aerial, 0.225, []geom.Polygon{target}, DefaultConfig())
+	ds := verifyCorner("nominal", aerial, 0.225, []geom.Polygon{target}, DefaultConfig())
 	counts := Count(ds)
 	if counts[Extra] != 1 {
 		t.Fatalf("extra = %d, want 1 (%v)", counts[Extra], ds)
@@ -127,7 +127,7 @@ func TestVerifyIgnoresSpecks(t *testing.T) {
 	target := geom.Rect{Min: geom.P(60, 60), Max: geom.P(180, 180)}.Poly()
 	speck := geom.Rect{Min: geom.P(400, 400), Max: geom.P(412, 412)}.Poly() // 144 nm² < 400
 	aerial := aerialFromBlobs(g, []geom.Polygon{target, speck})
-	ds := VerifyAerial("nominal", aerial, 0.225, []geom.Polygon{target}, DefaultConfig())
+	ds := verifyCorner("nominal", aerial, 0.225, []geom.Polygon{target}, DefaultConfig())
 	if Count(ds)[Extra] != 0 {
 		t.Errorf("speck flagged: %v", ds)
 	}

@@ -19,14 +19,6 @@ func NewBinary(g Grid) *Binary {
 	return &Binary{Grid: g, Data: make([]int8, g.Size*g.Size)}
 }
 
-// At returns the pixel at (x, y), zero outside the raster.
-func (b *Binary) At(x, y int) int8 {
-	if x < 0 || y < 0 || x >= b.Size || y >= b.Size {
-		return 0
-	}
-	return b.Data[y*b.Size+x]
-}
-
 // Set stores v at (x, y); out-of-range writes are ignored.
 func (b *Binary) Set(x, y int, v int8) {
 	if x < 0 || y < 0 || x >= b.Size || y >= b.Size {

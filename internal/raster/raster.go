@@ -22,9 +22,6 @@ type Grid struct {
 	Pitch float64 // nm per pixel
 }
 
-// Extent returns the world-space width (= height) covered by the grid, nm.
-func (g Grid) Extent() float64 { return float64(g.Size) * g.Pitch }
-
 // ToPixel converts a world point to (fractional) pixel coordinates.
 func (g Grid) ToPixel(p geom.Pt) (x, y float64) {
 	return p.X/g.Pitch - 0.5, p.Y/g.Pitch - 0.5

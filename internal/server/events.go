@@ -41,9 +41,8 @@ func (*JobStatusEvent) Kind() string { return "job.status" }
 // obs.RecordRouter; obs.Telemetry serialises calls, one complete JSONL
 // line per call, attributed by the emitting scope's job id.
 type eventHub struct {
-	mu           sync.Mutex
-	jobs         map[string]*jobEvents
-	unattributed int64 // scope-less lines dropped while jobs were live
+	mu   sync.Mutex
+	jobs map[string]*jobEvents
 }
 
 func newEventHub() *eventHub {
@@ -68,7 +67,7 @@ func (h *eventHub) unregister(id string) {
 // the event log of the job it is stamped with. The line is owned by
 // the caller's reusable buffer, so it is copied before retention.
 // Lines with no job stamp, or stamped with a job no longer routable,
-// are dropped (counted — never misattributed). It sits on the obs emit
+// are dropped, never misattributed. It sits on the obs emit
 // path of every running job, so it must never block — enforced
 // transitively through jobEvents.append.
 //
@@ -77,7 +76,6 @@ func (h *eventHub) WriteRecord(job string, p []byte) {
 	h.mu.Lock()
 	e := h.jobs[job]
 	if e == nil {
-		h.unattributed++
 		h.mu.Unlock()
 		return
 	}
@@ -85,13 +83,6 @@ func (h *eventHub) WriteRecord(job string, p []byte) {
 	line := make([]byte, len(p))
 	copy(line, p)
 	e.append(line)
-}
-
-// Unattributed returns the number of dropped scope-less lines.
-func (h *eventHub) Unattributed() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.unattributed
 }
 
 // jobEvents is one job's retained event log plus its live subscribers.

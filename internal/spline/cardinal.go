@@ -89,20 +89,16 @@ func combine(w [4]float64, p0, p1, p2, p3 geom.Pt) geom.Pt {
 // Segment i spans Ctrl[i] → Ctrl[i+1] and uses the cyclic neighbourhood
 // Ctrl[i-1..i+2].
 type Curve struct {
-	Ctrl    []geom.Pt
-	basis   Basis
-	tension float64
+	Ctrl  []geom.Pt
+	basis Basis
 }
 
 // NewCurve builds a closed cardinal-spline loop with the given tension. The
 // control-point slice is referenced, not copied, so callers may mutate
 // control points between evaluations (as the OPC correction loop does).
 func NewCurve(ctrl []geom.Pt, tension float64) *Curve {
-	return &Curve{Ctrl: ctrl, basis: NewBasis(tension), tension: tension}
+	return &Curve{Ctrl: ctrl, basis: NewBasis(tension)}
 }
-
-// Tension returns the tension parameter s of c.
-func (c *Curve) Tension() float64 { return c.tension }
 
 // Segments returns the number of spline segments (equal to the number of
 // control points for a closed loop).
@@ -183,47 +179,6 @@ func (c *Curve) SampleInto(dst geom.Polygon, perSeg int) geom.Polygon {
 		}
 	}
 	return dst
-}
-
-// ArcLength returns the approximate total arc length of the loop, using
-// perSeg linear subdivisions per segment.
-func (c *Curve) ArcLength(perSeg int) float64 {
-	poly := c.Sample(perSeg)
-	return poly.Perimeter()
-}
-
-// MaxAbsCurvature returns the maximum |κ| over samplesPerSeg evenly spaced
-// parameters on every segment, along with the segment index and parameter
-// where it occurs. Used by the curvature mask rule (paper §III-F).
-func (c *Curve) MaxAbsCurvature(samplesPerSeg int) (kmax float64, seg int, tAt float64) {
-	for i := 0; i < len(c.Ctrl); i++ {
-		for k := 0; k < samplesPerSeg; k++ {
-			t := float64(k) / float64(samplesPerSeg)
-			if v := math.Abs(c.Curvature(i, t)); v > kmax {
-				kmax, seg, tAt = v, i, t
-			}
-		}
-	}
-	return kmax, seg, tAt
-}
-
-// Interpolate generates count points evenly spread in parameter space along
-// the closed loop through the given control points. It is the F(·) of
-// Algorithm 1 (ILT fitting): the result has exactly count points and point j
-// lies on segment floor(j*n/count) of the loop.
-func Interpolate(ctrl []geom.Pt, tension float64, count int) []geom.Pt {
-	c := NewCurve(ctrl, tension)
-	n := len(ctrl)
-	out := make([]geom.Pt, count)
-	for j := 0; j < count; j++ {
-		u := float64(j) * float64(n) / float64(count)
-		i := int(u)
-		if i >= n {
-			i = n - 1
-		}
-		out[j] = c.At(i, u-float64(i))
-	}
-	return out
 }
 
 // InterpolateWeights returns, for each of count evenly spread loop

@@ -9,6 +9,12 @@ import (
 	"cardopc/internal/geom"
 )
 
+// ArcLength returns the approximate total arc length of the loop, using
+// perSeg linear subdivisions per segment.
+func (c *Curve) ArcLength(perSeg int) float64 {
+	return c.Sample(perSeg).Perimeter()
+}
+
 func squareCtrl(r float64) []geom.Pt {
 	return []geom.Pt{{X: -r, Y: -r}, {X: r, Y: -r}, {X: r, Y: r}, {X: -r, Y: r}}
 }
@@ -192,13 +198,21 @@ func TestArcLengthCircle(t *testing.T) {
 }
 
 func TestMaxAbsCurvature(t *testing.T) {
-	// A rounded square has its curvature maxima at the corners.
+	// A rounded square has its curvature maxima at the corners, where the
+	// control points sit: at the segment ends.
 	c := NewCurve(squareCtrl(100), 0.6)
-	kmax, _, tAt := c.MaxAbsCurvature(16)
+	var kmax, tAt float64
+	for i := range c.Ctrl {
+		for k := 0; k < 16; k++ {
+			tt := float64(k) / 16
+			if v := math.Abs(c.Curvature(i, tt)); v > kmax {
+				kmax, tAt = v, tt
+			}
+		}
+	}
 	if kmax <= 0 {
 		t.Fatal("max curvature should be positive")
 	}
-	// Maxima occur at segment endpoints (the control points sit at corners).
 	if tAt > 0.1 && tAt < 0.9 {
 		t.Errorf("max curvature at t=%v, expected near segment ends", tAt)
 	}
@@ -206,13 +220,17 @@ func TestMaxAbsCurvature(t *testing.T) {
 
 func TestInterpolateCount(t *testing.T) {
 	ctrl := circleCtrl(10, 30)
-	out := Interpolate(ctrl, 0.6, 57)
-	if len(out) != 57 {
-		t.Fatalf("len = %d", len(out))
+	rows := InterpolateWeights(len(ctrl), 0.6, 57)
+	if len(rows) != 57 {
+		t.Fatalf("len = %d", len(rows))
 	}
-	// First interpolated point is the first control point (u=0).
-	if !out[0].ApproxEq(ctrl[0], 1e-9) {
-		t.Errorf("first = %v, want %v", out[0], ctrl[0])
+	// The first sample (u=0) is the first control point.
+	var first geom.Pt
+	for c := 0; c < 4; c++ {
+		first = first.Add(ctrl[(rows[0].Seg-1+c+len(ctrl))%len(ctrl)].Mul(rows[0].W[c]))
+	}
+	if rows[0].Seg != 0 || !first.ApproxEq(ctrl[0], 1e-9) {
+		t.Errorf("first = %v on segment %d, want %v on 0", first, rows[0].Seg, ctrl[0])
 	}
 }
 
@@ -220,19 +238,22 @@ func TestInterpolateWeightsMatchInterpolate(t *testing.T) {
 	ctrl := circleCtrl(9, 40)
 	n := len(ctrl)
 	count := 40
-	direct := Interpolate(ctrl, 0.6, count)
+	curve := NewCurve(ctrl, 0.6)
 	rows := InterpolateWeights(n, 0.6, count)
 	if len(rows) != count {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for j, r := range rows {
+		// Sample j sits at loop parameter u = j·n/count.
+		u := float64(j) * float64(n) / float64(count)
+		direct := curve.At(int(u), u-math.Floor(u))
 		var p geom.Pt
 		for c := 0; c < 4; c++ {
 			idx := ((r.Seg-1+c)%n + n) % n
 			p = p.Add(ctrl[idx].Mul(r.W[c]))
 		}
-		if !p.ApproxEq(direct[j], 1e-9) {
-			t.Fatalf("row %d: %v vs %v", j, p, direct[j])
+		if !p.ApproxEq(direct, 1e-9) {
+			t.Fatalf("row %d: %v vs %v", j, p, direct)
 		}
 	}
 }
