@@ -67,14 +67,7 @@ func main() {
 	sim := litho.NewSimulator(lcfg)
 	g := sim.Grid()
 
-	target := raster.Rasterize(g, clip.Targets, 2)
-	for i, v := range target.Data {
-		if v >= 0.5 {
-			target.Data[i] = 1
-		} else {
-			target.Data[i] = 0
-		}
-	}
+	target := ilt.Target(g, clip.Targets)
 
 	iltCfg := ilt.DefaultConfig()
 	iltCfg.Iterations = *iters

@@ -33,10 +33,7 @@ var bufAliasPackages = map[string]bool{
 }
 
 // bufMutators are callees whose first argument is written in place.
-var bufMutators = map[string]bool{
-	"Forward2": true, "Inverse2": true, "Shift2": true, "Fill": true,
-	"Forward": true, "Inverse": true,
-}
+var bufMutators = map[string]bool{"Forward2": true, "Inverse2": true}
 
 func runBufAlias(pass *Pass) {
 	if !bufAliasPackages[pass.Pkg.Name()] {

@@ -43,3 +43,26 @@ func fixedSlot(workers int) []float64 {
 	wg.Wait()
 	return acc
 }
+
+// Inverse2 stands in for the in-place 2-D transform: it writes its
+// argument without an Into suffix.
+func Inverse2(g *grid) {
+	for i := range g.data {
+		g.data[i] = -g.data[i]
+	}
+}
+
+// sharedTransform runs every worker's in-place inverse on one hoisted
+// grid.
+func sharedTransform(workers int) {
+	var wg sync.WaitGroup
+	g := &grid{data: make([]complex128, 64)}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Inverse2(g) // want "shared scratch buffer g"
+		}()
+	}
+	wg.Wait()
+}

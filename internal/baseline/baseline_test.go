@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cardopc/internal/geom"
+	"cardopc/internal/ilt"
 	"cardopc/internal/litho"
 	"cardopc/internal/metrics"
 	"cardopc/internal/raster"
@@ -133,9 +134,9 @@ func TestCircleOPCProducesSmoothMask(t *testing.T) {
 	}
 	sim := testSim()
 	targets := []geom.Polygon{centredRect(300, 140)}
-	cfg := DefaultCircleConfig()
-	cfg.ILT.Iterations = 80 // the sharp-resist solver needs a real budget
-	res := CircleOPC(sim, targets, cfg)
+	iltCfg := ilt.DefaultConfig()
+	iltCfg.Iterations = 80 // the sharp-resist solver needs a real budget
+	res := CircleOPC(ilt.Run(sim, ilt.Target(sim.Grid(), targets), iltCfg), DefaultCircleConfig())
 	if len(res.MaskPolys) == 0 {
 		t.Fatal("no mask shapes")
 	}

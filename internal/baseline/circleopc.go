@@ -4,21 +4,14 @@ import (
 	"cardopc/internal/fit"
 	"cardopc/internal/geom"
 	"cardopc/internal/ilt"
-	"cardopc/internal/litho"
-	"cardopc/internal/raster"
 	"cardopc/internal/spline"
 )
 
 // CircleConfig tunes the CircleOpt proxy.
 type CircleConfig struct {
-	// ILT is the pixel-ILT stage.
-	ILT ilt.Config
 	// CtrlFraction is the (deliberately low) r_Q of the arc-constrained
 	// fit: fewer control points ≈ circle/arc-limited masks.
 	CtrlFraction float64
-	// FitIterations / FitLR drive the fitting stage.
-	FitIterations int
-	FitLR         float64
 	// Tension of the fitted loops.
 	Tension float64
 }
@@ -26,11 +19,8 @@ type CircleConfig struct {
 // DefaultCircleConfig returns the Fig. 7 proxy settings.
 func DefaultCircleConfig() CircleConfig {
 	return CircleConfig{
-		ILT:           ilt.DefaultConfig(),
-		CtrlFraction:  0.06,
-		FitIterations: 250,
-		FitLR:         0.5,
-		Tension:       spline.DefaultTension,
+		CtrlFraction: 0.06,
+		Tension:      spline.DefaultTension,
 	}
 }
 
@@ -43,28 +33,16 @@ type CircleResult struct {
 }
 
 // CircleOPC emulates fracturing-aware curvilinear ILT (CircleOpt, ref
-// [49]): pixel ILT produces a free-form mask, which is then re-expressed
-// with a very low control-point budget so every boundary is built from few,
+// [49]): the free-form mask of a pixel ILT run is re-expressed with a very
+// low control-point budget so every boundary is built from few,
 // large-radius arcs — the circular e-beam writing constraint. The reduced
 // degrees of freedom trade pattern fidelity (higher L2/EPE than the
 // spline-fit hybrid) for writer-friendly geometry, which is exactly the
-// trade-off Fig. 7 probes.
-func CircleOPC(sim *litho.Simulator, targets []geom.Polygon, cfg CircleConfig) *CircleResult {
-	g := sim.Grid()
-	target := raster.Rasterize(g, targets, 2)
-	for i, v := range target.Data {
-		if v >= 0.5 {
-			target.Data[i] = 1
-		} else {
-			target.Data[i] = 0
-		}
-	}
-	iltRes := ilt.Run(sim, target, cfg.ILT)
-
+// trade-off Fig. 7 probes. iltRes is only read, so the hybrid flow can fit
+// the same run.
+func CircleOPC(iltRes *ilt.Result, cfg CircleConfig) *CircleResult {
 	fcfg := fit.DefaultConfig()
 	fcfg.RQ = cfg.CtrlFraction
-	fcfg.Iterations = cfg.FitIterations
-	fcfg.LR = cfg.FitLR
 	fcfg.Tension = cfg.Tension
 	shapes := fit.FitMask(iltRes.BinaryMask, fcfg)
 

@@ -5,6 +5,7 @@ import (
 
 	"cardopc/internal/core"
 	"cardopc/internal/geom"
+	"cardopc/internal/ilt"
 	"cardopc/internal/litho"
 	"cardopc/internal/raster"
 )
@@ -61,14 +62,7 @@ func DiffOPC(sim *litho.Simulator, targets []geom.Polygon, cfg DiffConfig) *SegR
 	}
 
 	g := sim.Grid()
-	target := raster.Rasterize(g, targets, 2)
-	for i, v := range target.Data {
-		if v >= 0.5 {
-			target.Data[i] = 1
-		} else {
-			target.Data[i] = 0
-		}
-	}
+	target := ilt.Target(g, targets)
 
 	res := &SegResult{}
 	field := raster.NewField(g)

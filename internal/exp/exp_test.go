@@ -2,8 +2,11 @@ package exp
 
 import (
 	"os"
+	"slices"
 	"testing"
 	"time"
+
+	"cardopc/internal/obs"
 )
 
 // smoke options: tiny but real end-to-end runs.
@@ -50,9 +53,19 @@ func TestHybridResolvesMRC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment")
 	}
+	st := obs.NewState(obs.Config{Metrics: true})
+	obs.Setup(st)
+	defer obs.Setup(nil)
 	tab := Fig7(Options{GridSize: 256, PitchNM: 8, Iterations: 10, ILTIterations: 30, Clips: 1})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	// The hybrid and the CircleOpt proxy share one ILT run per clip.
+	if got := st.Metrics.Counter("ilt.iterations").Value(); got != 30 {
+		t.Errorf("ilt.iterations = %d for one clip, want 30", got)
+	}
+	if !slices.Contains(tab.Notes, sharedILTNote) {
+		t.Errorf("notes %q lack %q", tab.Notes, sharedILTNote)
 	}
 	// Every method produced a mask and finite metrics.
 	for _, r := range tab.Rows {

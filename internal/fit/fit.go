@@ -1,17 +1,17 @@
 // Package fit implements Algorithm 1 of the paper: fitting ILT-optimised
 // mask images with cardinal splines. Shape boundaries are extracted with
 // Suzuki border following, control points Q and reference points R are
-// sampled evenly from each boundary, and Q is optimised by Adam on the
-// mean-squared distance between the spline interpolation F(Q) and R.
-// Because the cardinal spline is linear in its control points, the gradient
-// ∂L/∂Q is exact and cheap (no autodiff needed).
+// sampled evenly from each boundary, and Q minimises the mean-squared
+// distance between the spline interpolation F(Q) and R. Because the
+// cardinal spline is linear in its control points, F(Q) = A·Q and that
+// minimiser is one linear least-squares solve: where the paper runs Adam
+// on the loss, FitContour solves the normal equations directly.
 package fit
 
 import (
 	"math"
 
 	"cardopc/internal/geom"
-	"cardopc/internal/optim"
 	"cardopc/internal/raster"
 	"cardopc/internal/spline"
 )
@@ -22,10 +22,6 @@ type Config struct {
 	RQ float64
 	// RR is r_R: the fraction of boundary points kept as reference points.
 	RR float64
-	// Iterations is K, the gradient-descent iteration count.
-	Iterations int
-	// LR is the Adam learning rate α.
-	LR float64
 	// Tension is the cardinal spline tension.
 	Tension float64
 	// MinBoundary drops shapes whose traced boundary has fewer points
@@ -40,8 +36,6 @@ func DefaultConfig() Config {
 	return Config{
 		RQ:          0.18,
 		RR:          0.9,
-		Iterations:  300,
-		LR:          0.5,
 		Tension:     spline.DefaultTension,
 		MinBoundary: 8,
 		MinCtrl:     6,
@@ -50,7 +44,7 @@ func DefaultConfig() Config {
 
 // Shape is one fitted control loop.
 type Shape struct {
-	// Ctrl are the optimised control points.
+	// Ctrl are the fitted control points.
 	Ctrl []geom.Pt
 	// Loss is the final mean squared fitting error (nm² per reference
 	// point).
@@ -106,7 +100,8 @@ func FitField(mask *raster.Field, th float64, cfg Config) []Shape {
 }
 
 // FitContour fits one closed boundary polyline (Algorithm 1 lines 5–14) and
-// returns the optimised control points and the final MSE loss.
+// returns the control points that minimise the MSE loss, and that loss.
+// F(Q) = A·Q, so the minimiser solves the normal equations AᵀA·Q = AᵀR.
 func FitContour(boundary geom.Polygon, cfg Config) ([]geom.Pt, float64) {
 	nq := int(math.Round(cfg.RQ * float64(len(boundary))))
 	if nq < cfg.MinCtrl {
@@ -117,52 +112,71 @@ func FitContour(boundary geom.Polygon, cfg Config) ([]geom.Pt, float64) {
 		nr = nq * 2
 	}
 
-	// Lines 6–7: sample Q and R evenly from the boundary.
-	q := resamplePts(boundary, nq)
+	// Line 7: sample R evenly from the boundary.
 	r := resamplePts(boundary, nr)
 
-	// Precompute the linear operator rows: F(Q)_j = Σ_c W_jc · Q_idx(j,c).
+	// Row j of A: F(Q)_j = Σ_c W_jc · Q_idx(j,c). Accumulate AᵀA (dense,
+	// row-major) and AᵀR, which the solve turns into Q.
 	rows := spline.InterpolateWeights(nq, cfg.Tension, nr)
-
-	// Flatten Q into the parameter vector [x0 y0 x1 y1 ...].
-	params := make([]float64, 2*nq)
-	for i, p := range q {
-		params[2*i] = p.X
-		params[2*i+1] = p.Y
+	idx := func(row spline.SampleWeights, c int) int { return (row.Seg - 1 + c + nq) % nq }
+	ata := make([]float64, nq*nq)
+	q := make([]geom.Pt, nq)
+	for j, row := range rows {
+		for c, w := range row.W {
+			ic := idx(row, c)
+			q[ic] = q[ic].Add(r[j].Mul(w))
+			for d, wd := range row.W {
+				ata[ic*nq+idx(row, d)] += w * wd
+			}
+		}
 	}
-	grad := make([]float64, len(params))
-	opt := optim.NewAdam(cfg.LR)
+	choleskySolve(ata, q)
 
 	loss := 0.0
-	for it := 0; it < cfg.Iterations; it++ {
-		for i := range grad {
-			grad[i] = 0
+	for j, row := range rows {
+		var f geom.Pt
+		for c, w := range row.W {
+			f = f.Add(q[idx(row, c)].Mul(w))
 		}
-		loss = 0
-		for j, row := range rows {
-			var fx, fy float64
-			for c := 0; c < 4; c++ {
-				idx := ((row.Seg-1+c)%nq + nq) % nq
-				fx += row.W[c] * params[2*idx]
-				fy += row.W[c] * params[2*idx+1]
-			}
-			dx := fx - r[j].X
-			dy := fy - r[j].Y
-			loss += dx*dx + dy*dy
-			for c := 0; c < 4; c++ {
-				idx := ((row.Seg-1+c)%nq + nq) % nq
-				grad[2*idx] += 2 * dx * row.W[c]
-				grad[2*idx+1] += 2 * dy * row.W[c]
-			}
-		}
-		opt.Step(params, grad)
+		loss += f.Sub(r[j]).Norm2()
 	}
+	return q, loss / float64(nr)
+}
 
-	out := make([]geom.Pt, nq)
-	for i := range out {
-		out[i] = geom.P(params[2*i], params[2*i+1])
+// choleskySolve overwrites b with x, where a·x = b for the symmetric
+// positive-definite n×n matrix a (row-major, n = len(b)). It factors a in
+// place as L·Lᵀ, and the x and y coordinates share the factor.
+func choleskySolve(a []float64, b []geom.Pt) {
+	n := len(b)
+	for j := 0; j < n; j++ {
+		lj := a[j*n : j*n+j]
+		d := a[j*n+j]
+		for _, v := range lj {
+			d -= v * v
+		}
+		d = math.Sqrt(d)
+		a[j*n+j] = d
+		for i := j + 1; i < n; i++ {
+			s := a[i*n+j]
+			for k, v := range lj {
+				s -= a[i*n+k] * v
+			}
+			a[i*n+j] = s / d
+		}
 	}
-	return out, loss / float64(nr)
+	// L·y = b, then Lᵀ·x = y.
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			b[i] = b[i].Sub(b[k].Mul(a[i*n+k]))
+		}
+		b[i] = geom.P(b[i].X/a[i*n+i], b[i].Y/a[i*n+i])
+	}
+	for i := n - 1; i >= 0; i-- {
+		for k := i + 1; k < n; k++ {
+			b[i] = b[i].Sub(b[k].Mul(a[k*n+i]))
+		}
+		b[i] = geom.P(b[i].X/a[i*n+i], b[i].Y/a[i*n+i])
+	}
 }
 
 // resamplePts picks n points evenly spaced by arc length along the closed

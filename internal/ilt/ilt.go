@@ -10,6 +10,7 @@ import (
 	"math"
 	"time"
 
+	"cardopc/internal/geom"
 	"cardopc/internal/litho"
 	"cardopc/internal/obs"
 	"cardopc/internal/optim"
@@ -191,8 +192,22 @@ func (s *Solver) RunContext(ctx context.Context) (*Result, error) {
 	return res, runErr
 }
 
+// Target rasterises the target polygons at 2× supersampling and binarises
+// the coverage at 0.5: the 0/1 image every ILT run optimises against.
+func Target(g raster.Grid, polys []geom.Polygon) *raster.Field {
+	t := raster.Rasterize(g, polys, 2)
+	for i, v := range t.Data {
+		if v >= 0.5 {
+			t.Data[i] = 1
+		} else {
+			t.Data[i] = 0
+		}
+	}
+	return t
+}
+
 // Run is the convenience entry point: target polygons rasterised by the
-// caller into a 0/1 field.
+// caller into a 0/1 field (see Target).
 func Run(sim *litho.Simulator, target *raster.Field, cfg Config) *Result {
 	return NewSolver(sim, target, cfg).Run()
 }

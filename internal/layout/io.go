@@ -38,7 +38,10 @@ func WriteClip(w io.Writer, c Clip) error {
 func ReadClip(r io.Reader) (Clip, error) {
 	var c Clip
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may be any length. The clip is held in memory whole anyway, and
+	// WriteClip's %g can spell a coordinate longer than its input did (1e5
+	// as 100000), so any line cap would refuse some written clips.
+	sc.Buffer(nil, math.MaxInt)
 	sawHeader := false
 	line := 0
 	for sc.Scan() {

@@ -177,29 +177,24 @@ func TestLargeDesignPanicsOnUnknown(t *testing.T) {
 }
 
 func TestClipIORoundTrip(t *testing.T) {
-	orig := MetalClip(2)
-	var buf bytes.Buffer
-	if err := WriteClip(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadClip(&buf)
+	// A poly line of 200,000 "1e5" tokens (800 KB) that WriteClip spells
+	// as "100000": 1.4 MB on one line.
+	long := "clip long 100\npoly" + strings.Repeat(" 1e5", 200000) + "\n"
+	longClip, err := ReadClip(strings.NewReader(long))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != orig.Name || got.SizeNM != orig.SizeNM {
-		t.Errorf("header mismatch: %v %v", got.Name, got.SizeNM)
-	}
-	if len(got.Targets) != len(orig.Targets) {
-		t.Fatalf("polygon count %d vs %d", len(got.Targets), len(orig.Targets))
-	}
-	for i := range got.Targets {
-		if len(got.Targets[i]) != len(orig.Targets[i]) {
-			t.Fatalf("poly %d point count differs", i)
+	for _, orig := range []Clip{MetalClip(2), longClip} {
+		var buf bytes.Buffer
+		if err := WriteClip(&buf, orig); err != nil {
+			t.Fatal(err)
 		}
-		for j := range got.Targets[i] {
-			if got.Targets[i][j] != orig.Targets[i][j] {
-				t.Fatalf("poly %d point %d differs", i, j)
-			}
+		got, err := ReadClip(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", orig.Name, err)
+		}
+		if !reflect.DeepEqual(got, orig) {
+			t.Errorf("%s: round trip changed the clip", orig.Name)
 		}
 	}
 }

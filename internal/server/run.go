@@ -186,9 +186,9 @@ func measureClip(proc *litho.Process, maskPolys, targets []geom.Polygon, spacing
 }
 
 // runILT is the pixel inverse-lithography flow: the target polygons are
-// rasterised to a 0/1 field and the descent loop runs under the job
-// context, so a cancelled or timed-out job stops at the next iteration
-// boundary.
+// rasterised to a 0/1 field (ilt.Target) and the descent loop runs under
+// the job context, so a cancelled or timed-out job stops at the next
+// iteration boundary.
 func (s *Server) runILT(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	clip, err := spec.clip()
 	if err != nil {
@@ -204,15 +204,7 @@ func (s *Server) runILT(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	}
 
 	sim := s.procs.GetScoped(obs.ScopeFromContext(ctx), lcfg, litho.DefaultCorners()).Nominal
-	g := sim.Grid()
-	target := raster.Rasterize(g, clip.Targets, 2)
-	for i, v := range target.Data {
-		if v >= 0.5 {
-			target.Data[i] = 1
-		} else {
-			target.Data[i] = 0
-		}
-	}
+	target := ilt.Target(sim.Grid(), clip.Targets)
 	res, err := ilt.RunContext(ctx, sim, target, cfg)
 	if err != nil {
 		return nil, err

@@ -46,8 +46,8 @@ func NewBasis(s float64) Basis {
 
 // Weights returns the four control-point weights of p(t): the row vector
 // [1 t t² t³]·S_card. The spline is linear in the control points, so these
-// weights are also the exact gradient ∂p(t)/∂P used by the ILT fitting
-// algorithm (Algorithm 1).
+// weights are also ∂p(t)/∂P, the entries of the linear map that the ILT
+// fitting algorithm (Algorithm 1) solves for.
 func (b *Basis) Weights(t float64) [4]float64 {
 	t2 := t * t
 	t3 := t2 * t
@@ -184,8 +184,8 @@ func (c *Curve) SampleInto(dst geom.Polygon, perSeg int) geom.Polygon {
 // InterpolateWeights returns, for each of count evenly spread loop
 // parameters, the segment index and the four basis weights. Because the
 // spline is linear in its control points, these weights define the exact
-// sparse linear map F(Q) = A·Q used to compute analytic gradients in
-// Algorithm 1.
+// sparse linear map F(Q) = A·Q whose least-squares problem Algorithm 1
+// solves.
 func InterpolateWeights(n int, tension float64, count int) []SampleWeights {
 	b := NewBasis(tension)
 	out := make([]SampleWeights, count)
