@@ -87,7 +87,7 @@ func main() {
 		return
 	}
 
-	hy := exp.Hybrid(sim, clip.Targets, iltCfg, fit.DefaultConfig(), mrc.DefaultRules())
+	hy := exp.HybridFit(ilt.Run(sim, target, iltCfg), fit.DefaultConfig(), mrc.DefaultRules())
 	polys := hy.Mask.Polygons(8)
 	aerial := sim.Aerial(raster.Rasterize(g, polys, 4))
 	printed := aerial.Threshold(lcfg.Threshold)

@@ -66,6 +66,7 @@ func DiffOPC(sim *litho.Simulator, targets []geom.Polygon, cfg DiffConfig) *SegR
 
 	res := &SegResult{}
 	field := raster.NewField(g)
+	paint := raster.NewPainter(field)
 	ith := sim.Config().Threshold
 	beta := cfg.ResistSteepness
 
@@ -79,13 +80,11 @@ func DiffOPC(sim *litho.Simulator, targets []geom.Polygon, cfg DiffConfig) *SegR
 	defer cache.Release()
 
 	for it := 0; it < cfg.Iterations; it++ {
-		for i := range field.Data {
-			field.Data[i] = 0
-		}
+		paint.Clear()
 		for _, s := range shapes {
-			field.FillPolygon(s.poly(), 4)
+			paint.Fill(s.poly(), 4)
 		}
-		field.Clamp01()
+		paint.Clamp01()
 		sim.AerialWithCacheInto(aerial, cache, field)
 
 		loss := 0.0

@@ -173,6 +173,7 @@ func SegmentOPC(sim *litho.Simulator, targets []geom.Polygon, cfg SegConfig) *Se
 
 	res := &SegResult{}
 	field := raster.NewField(sim.Grid())
+	paint := raster.NewPainter(field)
 	ith := sim.Config().Threshold
 	mcfg := metrics.EPEConfig{SearchNM: 60, ThresholdNM: 15, Ith: ith}
 
@@ -184,16 +185,14 @@ func SegmentOPC(sim *litho.Simulator, targets []geom.Polygon, cfg SegConfig) *Se
 			}
 		}
 		// Render current mask.
-		for i := range field.Data {
-			field.Data[i] = 0
-		}
+		paint.Clear()
 		for _, s := range shapes {
-			field.FillPolygon(s.poly(), 4)
+			paint.Fill(s.poly(), 4)
 		}
 		for _, sr := range srafs {
-			field.FillPolygon(sr, 4)
+			paint.Fill(sr, 4)
 		}
-		field.Clamp01()
+		paint.Clamp01()
 		aerial := sim.Aerial(field)
 
 		total := 0.0

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cardopc/internal/geom"
+	"cardopc/internal/layout"
 	"cardopc/internal/litho"
 	"cardopc/internal/metrics"
 	"cardopc/internal/raster"
@@ -84,13 +85,22 @@ func TestMaskRasterizeMatchesPolygons(t *testing.T) {
 	if math.Abs(gotArea-wantArea)/wantArea > 0.02 {
 		t.Errorf("raster area %v vs polygon area %v", gotArea, wantArea)
 	}
-	// RasterizeInto matches Rasterize.
-	f2 := raster.NewField(g)
-	m.RasterizeInto(f2, 8, 4)
-	for i := range f.Data {
-		if f.Data[i] != f2.Data[i] {
-			t.Fatal("RasterizeInto differs from Rasterize")
-		}
+}
+
+// BenchmarkRasterizeVia512 renders the correction step's mask raster:
+// each op paints one of V1–V13's initial masks, spline-sampled with
+// SRAFs (21 shapes and 1,250 vertices on average), onto the 512 px @ 4 nm
+// raster of clip_via512 through one reused painter, as Step does.
+func BenchmarkRasterizeVia512(b *testing.B) {
+	cfg := ViaConfig()
+	masks := make([]*Mask, layout.NumViaClips)
+	for i := range masks {
+		masks[i] = NewMask(layout.ViaClip(i+1).Targets, cfg)
+	}
+	paint := raster.NewPainter(raster.NewField(raster.Grid{Size: 512, Pitch: 4}))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		masks[i%len(masks)].rasterizeInto(paint, nil, cfg.SamplesPerSeg, 4)
 	}
 }
 

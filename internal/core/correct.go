@@ -31,11 +31,12 @@ type Optimizer struct {
 	mask    *Mask
 	targets []geom.Polygon
 
-	field   *raster.Field // mask raster scratch
-	holes   *raster.Field // hole-loop raster scratch, sized on the first mask with a hole
-	aerial  *raster.Field // aerial image scratch, computed on rows only
-	rows    []bool        // raster rows the step's EPE probes read
-	smoothW []float64     // binomial smoothing weights for cfg.SmoothWindow
+	field   *raster.Field   // mask raster scratch
+	paint   *raster.Painter // fills field, clearing and clamping only what it wrote
+	holes   *raster.Painter // hole-loop raster, made on the first mask with a hole
+	aerial  *raster.Field   // aerial image scratch, computed on rows only
+	rows    []bool          // raster rows the step's EPE probes read
+	smoothW []float64       // binomial smoothing weights for cfg.SmoothWindow
 
 	// scope attributes the loop's telemetry to the unit of work that
 	// owns this run (a cardopcd job). RunContext recovers it from the
@@ -68,6 +69,7 @@ func NewOptimizerWithMask(sim *litho.Simulator, mask *Mask, targets []geom.Polyg
 		aerial:  raster.NewField(sim.Grid()),
 		rows:    make([]bool, sim.Grid().Size),
 	}
+	o.paint = raster.NewPainter(o.field)
 	if cfg.SmoothWindow > 0 {
 		o.smoothW = binomialWeights(cfg.SmoothWindow)
 	}
@@ -131,7 +133,7 @@ func (o *Optimizer) Step(it int) float64 {
 	// row set is rebuilt every step: it costs less than measuring the
 	// EPE, and probes may change between steps (Reset).
 	rsp := o.scope.Start("opc.rasterize")
-	o.mask.rasterizeInto(o.field, o.holeScratch(), o.cfg.SamplesPerSeg, 4)
+	o.mask.rasterizeInto(o.paint, o.holeScratch(), o.cfg.SamplesPerSeg, 4)
 	rsp.End()
 	cfg := metrics.EPEConfig{SearchNM: o.cfg.EPECap * 3, ThresholdNM: o.cfg.EPECap, Ith: o.sim.Config().Threshold}
 	clear(o.rows)
@@ -248,12 +250,12 @@ func (o *Optimizer) shapeMoves(s *Shape, aerial *raster.Field, cfg metrics.EPECo
 	return moves
 }
 
-// holeScratch returns the raster the mask's hole loops render into: nil
-// until the first mask with a hole, then one raster kept for every later
-// step and Reset.
-func (o *Optimizer) holeScratch() *raster.Field {
+// holeScratch returns the painter the mask's hole loops render through:
+// nil until the first mask with a hole, then one raster kept for every
+// later step and Reset.
+func (o *Optimizer) holeScratch() *raster.Painter {
 	if o.holes == nil && o.mask.hasHoles() {
-		o.holes = raster.NewField(o.sim.Grid())
+		o.holes = raster.NewPainter(raster.NewField(o.sim.Grid()))
 	}
 	return o.holes
 }

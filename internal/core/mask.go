@@ -120,42 +120,41 @@ func (m *Mask) MainPolygons(perSeg int) []geom.Polygon {
 // Hole loops are subtracted from the solid coverage.
 func (m *Mask) Rasterize(g raster.Grid, perSeg, ss int) *raster.Field {
 	f := raster.NewField(g)
-	m.RasterizeInto(f, perSeg, ss)
+	var holes *raster.Painter
+	if m.hasHoles() {
+		holes = raster.NewPainter(raster.NewField(g))
+	}
+	m.rasterizeInto(raster.NewPainter(f), holes, perSeg, ss)
 	return f
 }
 
-// RasterizeInto is Rasterize reusing f's storage. A mask with hole loops
-// allocates a raster for them per call; Optimizer.Step keeps one instead.
-func (m *Mask) RasterizeInto(f *raster.Field, perSeg, ss int) {
-	var holes *raster.Field
-	if m.hasHoles() {
-		holes = raster.NewField(f.Grid)
-	}
-	m.rasterizeInto(f, holes, perSeg, ss)
-}
-
-// rasterizeInto is RasterizeInto rendering the hole loops into holes
-// (f's grid, overwritten when the mask has a hole), which may be nil
-// when it has none.
-func (m *Mask) rasterizeInto(f, holes *raster.Field, perSeg, ss int) {
-	clear(f.Data)
+// rasterizeInto renders the mask into paint's field: the solid shapes'
+// coverage, clamped, less the hole loops' rendered into holes' field,
+// clamped again. holes may be nil when the mask has no hole. Both
+// painters clear only what they painted last time, so Optimizer.Step
+// reuses them at the cost of the shapes, not the raster.
+func (m *Mask) rasterizeInto(paint, holes *raster.Painter, perSeg, ss int) {
+	paint.Clear()
 	hasHoles := false
 	for _, s := range m.Shapes {
 		if s.Hole {
 			if !hasHoles {
-				clear(holes.Data)
+				holes.Clear()
 				hasHoles = true
 			}
-			holes.FillPolygon(s.Poly(perSeg), ss)
+			holes.Fill(s.Poly(perSeg), ss)
 			continue
 		}
-		f.FillPolygon(s.Poly(perSeg), ss)
+		paint.Fill(s.Poly(perSeg), ss)
 	}
-	f.Clamp01()
+	paint.Clamp01()
 	if hasHoles {
+		// Whole-raster: only fitted ILT masks have holes. A pixel no
+		// solid fill wrote ends +0 again, as paint requires.
 		holes.Clamp01()
+		f, h := paint.Field(), holes.Field()
 		for i := range f.Data {
-			f.Data[i] -= holes.Data[i]
+			f.Data[i] -= h.Data[i]
 		}
 		f.Clamp01()
 	}

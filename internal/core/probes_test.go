@@ -169,9 +169,10 @@ func TestRasterizeIntoHoleScratch(t *testing.T) {
 	holed.AddHoleShapes([][]geom.Pt{hole}, cfg)
 
 	g := raster.Grid{Size: 128, Pitch: 4}
-	f, holes := raster.NewField(g), raster.NewField(g)
+	f := raster.NewField(g)
+	paint, holes := raster.NewPainter(f), raster.NewPainter(raster.NewField(g))
 	for _, m := range []*Mask{holed, solid, holed} {
-		m.rasterizeInto(f, holes, 8, 4)
+		m.rasterizeInto(paint, holes, 8, 4)
 		want := m.Rasterize(g, 8, 4)
 		for i := range want.Data {
 			if f.Data[i] != want.Data[i] {

@@ -32,12 +32,13 @@ type HybridResult struct {
 // (Fig. 2's alternative initialiser), Algorithm 1 spline fitting of the ILT
 // mask, then MRC violation resolving.
 func Hybrid(sim *litho.Simulator, targets []geom.Polygon, iltCfg ilt.Config, fitCfg fit.Config, rules mrc.Rules) *HybridResult {
-	return hybridFit(ilt.Run(sim, ilt.Target(sim.Grid(), targets), iltCfg), fitCfg, rules)
+	return HybridFit(ilt.Run(sim, ilt.Target(sim.Grid(), targets), iltCfg), fitCfg, rules)
 }
 
-// hybridFit is the hybrid flow after its ILT run: Algorithm 1 fitting of
-// the ILT mask, then MRC violation resolving. iltRes is only read.
-func hybridFit(iltRes *ilt.Result, fitCfg fit.Config, rules mrc.Rules) *HybridResult {
+// HybridFit is the hybrid flow after its ILT run: Algorithm 1 fitting of
+// the ILT mask, then MRC violation resolving. iltRes is only read, so a
+// caller that keeps the ILT target for its own scoring builds it once.
+func HybridFit(iltRes *ilt.Result, fitCfg fit.Config, rules mrc.Rules) *HybridResult {
 	shapes := fit.FitField(iltRes.Mask, 0.5, fitCfg)
 	mask := &core.Mask{}
 	ccfg := core.Config{Spline: spline.Cardinal, Tension: fitCfg.Tension}
@@ -95,7 +96,7 @@ func Fig7(o Options) *Table {
 
 		// Hybrid (ours).
 		start = time.Now()
-		hy := hybridFit(iltRes, fit.DefaultConfig(), rules)
+		hy := HybridFit(iltRes, fit.DefaultConfig(), rules)
 		hyDur := iltDur + time.Since(start)
 		hyEval := evaluate(proc, hy.Mask.Polygons(8), targets, 40)
 		t.Rows = append(t.Rows, Row{Testcase: clip.Name, Method: "Hybrid", EPE: float64(hyEval.EPEViol), PVB: hyEval.PVB, L2: hyEval.L2, Runtime: hyDur})

@@ -36,7 +36,8 @@ type Tracked struct {
 // the SOCS sweep runs 23 times per imaging call), aerial
 // image + adjoint gradient (the OPC/ILT cost evaluation) plus the
 // three-corner process window and the half-spectrum mask transform,
-// raster fill and marching squares (mask ↔ field conversion), R-tree
+// raster fill and marching squares (mask ↔ field conversion), the
+// correction step's mask raster of a via clip at 512 px, R-tree
 // build/search (MRC neighbour queries), spline evaluation
 // (control-point connection), MRC resolve, the cardopc-vet dataflow
 // and interprocedural layers (the CI gate's own analysis cost, without
@@ -51,6 +52,7 @@ func TrackedSet() []Tracked {
 		{Pkg: "./internal/fft", Pattern: "^(BenchmarkForward1024|BenchmarkForward2_256|BenchmarkRealForward2_256|BenchmarkInverse2_64)$"},
 		{Pkg: "./internal/litho", Pattern: "^(BenchmarkAerial256|BenchmarkGradient256|BenchmarkAerialAll512|BenchmarkMaskFreqReal)$"},
 		{Pkg: "./internal/raster", Pattern: "^(BenchmarkFillPolygon|BenchmarkMarchingSquares)$"},
+		{Pkg: "./internal/core", Pattern: "^BenchmarkRasterizeVia512$"},
 		{Pkg: "./internal/rtree", Pattern: "^(BenchmarkSTRBuild1000|BenchmarkSearch1000)$"},
 		{Pkg: "./internal/spline", Pattern: "^BenchmarkLoopSample$"},
 		{Pkg: "./internal/mrc", Pattern: "^BenchmarkResolveSpacing$"},

@@ -8,7 +8,7 @@ package rtree
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"cardopc/internal/geom"
 )
@@ -51,62 +51,77 @@ func NewSTR(items []Item) *Tree {
 }
 
 func packLeaves(items []Item) []*node {
-	n := len(items)
-	sorted := make([]Item, n)
-	copy(sorted, items)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Bounds().Center().X < sorted[j].Bounds().Center().X
-	})
-	leafCount := (n + MaxEntries - 1) / MaxEntries
-	slabs := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	perSlab := slabs * MaxEntries
-
-	var leaves []*node
-	for s := 0; s < n; s += perSlab {
-		end := min(s+perSlab, n)
-		slab := sorted[s:end]
-		sort.SliceStable(slab, func(i, j int) bool {
-			return slab[i].Bounds().Center().Y < slab[j].Bounds().Center().Y
-		})
-		for i := 0; i < len(slab); i += MaxEntries {
-			j := min(i+MaxEntries, len(slab))
-			leaf := &node{items: append([]Item(nil), slab[i:j]...), rect: geom.EmptyRect()}
-			for _, it := range leaf.items {
-				leaf.rect = leaf.rect.Union(it.Bounds())
-			}
-			leaves = append(leaves, leaf)
-		}
+	centres := make([]geom.Pt, len(items))
+	for i, it := range items {
+		centres[i] = it.Bounds().Center()
 	}
+	leaves := make([]*node, 0, runsOf(len(items)))
+	tile(centres, func(run []int32) {
+		leaf := &node{items: make([]Item, len(run)), rect: geom.EmptyRect()}
+		for k, i := range run {
+			leaf.items[k] = items[i]
+			leaf.rect = leaf.rect.Union(items[i].Bounds())
+		}
+		leaves = append(leaves, leaf)
+	})
 	return leaves
 }
 
 func packUpward(level []*node) *node {
 	for len(level) > 1 {
-		sort.SliceStable(level, func(i, j int) bool {
-			return level[i].rect.Center().X < level[j].rect.Center().X
-		})
-		groups := (len(level) + MaxEntries - 1) / MaxEntries
-		slabs := int(math.Ceil(math.Sqrt(float64(groups))))
-		perSlab := slabs * MaxEntries
-		var next []*node
-		for s := 0; s < len(level); s += perSlab {
-			end := min(s+perSlab, len(level))
-			slab := level[s:end]
-			sort.SliceStable(slab, func(i, j int) bool {
-				return slab[i].rect.Center().Y < slab[j].rect.Center().Y
-			})
-			for i := 0; i < len(slab); i += MaxEntries {
-				j := min(i+MaxEntries, len(slab))
-				parent := &node{children: append([]*node(nil), slab[i:j]...), rect: geom.EmptyRect()}
-				for _, c := range parent.children {
-					parent.rect = parent.rect.Union(c.rect)
-				}
-				next = append(next, parent)
-			}
+		centres := make([]geom.Pt, len(level))
+		for i, n := range level {
+			centres[i] = n.rect.Center()
 		}
+		next := make([]*node, 0, runsOf(len(level)))
+		tile(centres, func(run []int32) {
+			parent := &node{children: make([]*node, len(run)), rect: geom.EmptyRect()}
+			for k, i := range run {
+				parent.children[k] = level[i]
+				parent.rect = parent.rect.Union(level[i].rect)
+			}
+			next = append(next, parent)
+		})
 		level = next
 	}
 	return level[0]
+}
+
+// tile orders one STR level, given its entries' rectangle centres: a
+// stable sort by centre x, vertical slabs of ⌈√runs⌉·MaxEntries (runs
+// being how many runs of MaxEntries the level fills), a stable sort of
+// each slab by centre y; then it calls pack with the indices of each run
+// of up to MaxEntries in that order. A stable sort's order is unique, so
+// the packing does not depend on the sort's algorithm.
+func tile(centres []geom.Pt, pack func(run []int32)) {
+	order := make([]int32, len(centres))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return compare(centres[a].X, centres[b].X) })
+	perSlab := int(math.Ceil(math.Sqrt(float64(runsOf(len(order)))))) * MaxEntries
+	for s := 0; s < len(order); s += perSlab {
+		slab := order[s:min(s+perSlab, len(order))]
+		slices.SortStableFunc(slab, func(a, b int32) int { return compare(centres[a].Y, centres[b].Y) })
+		for i := 0; i < len(slab); i += MaxEntries {
+			pack(slab[i:min(i+MaxEntries, len(slab))])
+		}
+	}
+}
+
+// runsOf is how many runs of MaxEntries n entries fill.
+func runsOf(n int) int { return (n + MaxEntries - 1) / MaxEntries }
+
+// compare orders a before b exactly when a < b, as a less function on <
+// does: unlike cmp.Compare, it ranks a NaN level with everything.
+func compare(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // Search calls fn for every item whose bounds intersect window. Returning
@@ -144,11 +159,4 @@ func (n *node) search(window geom.Rect, fn func(Item) bool) bool {
 // tree only culls by rectangle).
 func (t *Tree) SearchSeg(s geom.Seg, fn func(Item) bool) {
 	t.Search(s.Bounds(), fn)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
