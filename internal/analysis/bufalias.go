@@ -32,8 +32,9 @@ var bufAliasPackages = map[string]bool{
 	"fft": true, "litho": true, "bigopc": true, "ilt": true,
 }
 
-// bufMutators are callees whose first argument is written in place.
-var bufMutators = map[string]bool{"Forward2": true, "Inverse2": true}
+// bufMutators are callees whose first argument is written in place: the
+// fft package's kernel-grid transforms.
+var bufMutators = map[string]bool{"InverseBandRows": true, "ForwardBandCols": true}
 
 func runBufAlias(pass *Pass) {
 	if !bufAliasPackages[pass.Pkg.Name()] {

@@ -44,11 +44,18 @@ func fixedSlot(workers int) []float64 {
 	return acc
 }
 
-// Inverse2 stands in for the in-place 2-D transform: it writes its
-// argument without an Into suffix.
-func Inverse2(g *grid) {
+// InverseBandRows and ForwardBandCols stand in for the in-place
+// kernel-grid transforms: they write their argument without an Into
+// suffix.
+func InverseBandRows(g *grid, k int) {
 	for i := range g.data {
 		g.data[i] = -g.data[i]
+	}
+}
+
+func ForwardBandCols(g *grid, k int) {
+	for i := range g.data {
+		g.data[i] = 2 * g.data[i]
 	}
 }
 
@@ -61,7 +68,22 @@ func sharedTransform(workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Inverse2(g) // want "shared scratch buffer g"
+			InverseBandRows(g, 15) // want "shared scratch buffer g"
+		}()
+	}
+	wg.Wait()
+}
+
+// sharedForward runs every worker's in-place forward transform on one
+// hoisted grid.
+func sharedForward(workers int) {
+	var wg sync.WaitGroup
+	buf := &grid{data: make([]complex128, 64)}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ForwardBandCols(buf, 15) // want "shared scratch buffer buf"
 		}()
 	}
 	wg.Wait()

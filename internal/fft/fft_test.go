@@ -53,6 +53,22 @@ func Inverse(x []complex128) {
 	}
 }
 
+// Forward2 computes the full forward 2-D DFT of g in place: the
+// box-column forward at the full band.
+func Forward2(g *Grid2) { ForwardBandCols(g, g.W/2) }
+
+// Inverse2 computes the inverse 2-D DFT of g in place with 1/(W·H)
+// normalisation: the band-row inverse at the full band, then the exact
+// power-of-two reciprocal, which equals the complex division by W·H on
+// every nonzero value.
+func Inverse2(g *Grid2) {
+	InverseBandRows(g, g.H/2)
+	inv := 1 / float64(g.W*g.H)
+	for i, v := range g.Data {
+		g.Data[i] = complex(real(v)*inv, imag(v)*inv)
+	}
+}
+
 // Clone returns a deep copy of g.
 func (g *Grid2) Clone() *Grid2 {
 	out := NewGrid2(g.W, g.H)
@@ -100,43 +116,64 @@ func maxErr(a, b []complex128) float64 {
 	return m
 }
 
-// radix2 is the textbook radix-2 transform the fused kernel replaced,
-// kept verbatim as the bit-identity oracle: bit-reversal, then stages of
-// size 2, 4, …, n reading the n-point twiddle table with a stride.
-func radix2(x []complex128, inverse bool) {
+// radix4 is the bit-identity oracle of the FFT kernel: the textbook
+// unfused decimation-in-time radix-4 loop over the same twiddle table.
+// After the bit-reversal, stages of size 4, 16, … each run every
+// butterfly of (*plan).transform's comment one at a time, indexing the
+// n-point table with a stride; a j = 0 butterfly skips its multiplies
+// and ∓i swaps parts and flips a sign, as the kernel does. An odd
+// log₂ n ends with one radix-2 stage of size n.
+func radix4(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
-	rev := make([]int, n)
 	shift := bits.LeadingZeros(uint(n)) + 1
-	for i := range rev {
-		rev[i] = int(bits.Reverse(uint(i)) >> shift)
-	}
-	tw := make([]complex128, n/2)
-	for k := range tw {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		tw[k] = complex(math.Cos(ang), math.Sin(ang))
-		if inverse {
-			tw[k] = complex(real(tw[k]), -imag(tw[k]))
-		}
-	}
-	for i, j := range rev {
-		if i < j {
+	for i := range x {
+		if j := int(bits.Reverse(uint(i)) >> shift); i < j {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
+	tw := twiddles(n)
+	if inverse {
+		for k, w := range tw {
+			tw[k] = complex(real(w), -imag(w))
+		}
+	}
+	// mulI multiplies by −i forward and by +i inverse.
+	mulI := func(v complex128) complex128 {
+		if inverse {
+			return complex(-imag(v), real(v))
+		}
+		return complex(imag(v), -real(v))
+	}
+	size := 4
+	for ; size <= n; size *= 4 {
+		h, step := size/4, n/size
 		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := tw[k*step]
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+			for j := 0; j < h; j++ {
+				i0, i1, i2, i3 := start+j, start+j+h, start+j+2*h, start+j+3*h
+				a, b, c, d := x[i0], x[i1], x[i2], x[i3]
+				if j > 0 {
+					b *= tw[2*j*step]
+					c *= tw[j*step]
+					d *= tw[3*j*step]
+				}
+				x[i0] = (a + b) + (c + d)
+				x[i1] = (a - b) + mulI(c-d)
+				x[i2] = (a + b) - (c + d)
+				x[i3] = (a - b) - mulI(c-d)
 			}
+		}
+	}
+	if size/4 < n {
+		h := n / 2
+		for j := 0; j < h; j++ {
+			a, b := x[j], x[j+h]
+			if j > 0 {
+				b *= tw[j]
+			}
+			x[j], x[j+h] = a+b, a-b
 		}
 	}
 }
@@ -194,19 +231,20 @@ func oracleInputs(r *rand.Rand, n int) map[string][]complex128 {
 }
 
 func TestTransformMatchesRadix2(t *testing.T) {
-	// The fused radix-2² kernel runs every butterfly of the textbook
-	// loop with the same operands and twiddle, so every output keeps its
-	// bits: at every length, in both directions, on every input class.
+	// The radix-4 kernel runs every butterfly of the textbook radix-4
+	// loop with the same operands and twiddles, so every output keeps
+	// its bits: at every length, in both directions, on every input
+	// class.
 	r := rand.New(rand.NewSource(17))
 	for n := 1; n <= 8192; n *= 2 {
 		for name, x := range oracleInputs(r, n) {
 			for _, inverse := range []bool{false, true} {
 				want := append([]complex128(nil), x...)
-				radix2(want, inverse)
+				radix4(want, inverse)
 				got := append([]complex128(nil), x...)
 				transform(got, inverse)
 				if i := bitsDiff(got, want); i >= 0 {
-					t.Fatalf("n=%d %s inverse=%v: element %d = %v, radix-2 gives %v", n, name, inverse, i, got[i], want[i])
+					t.Fatalf("n=%d %s inverse=%v: element %d = %v, radix-4 gives %v", n, name, inverse, i, got[i], want[i])
 				}
 			}
 		}
@@ -215,7 +253,7 @@ func TestTransformMatchesRadix2(t *testing.T) {
 
 func TestColumnsMatchTransposedRadix2(t *testing.T) {
 	// The in-place column pass over a window of a strided grid equals
-	// transposing the window, transforming its rows with the radix-2
+	// transposing the window, transforming its rows with the radix-4
 	// oracle and transposing back, bit for bit; columns outside the
 	// window and the stride padding stay as they were.
 	r := rand.New(rand.NewSource(18))
@@ -233,7 +271,7 @@ func TestColumnsMatchTransposedRadix2(t *testing.T) {
 						for y := range col {
 							col[y] = want[y*stride+c]
 						}
-						radix2(col, inverse)
+						radix4(col, inverse)
 						for y, v := range col {
 							want[y*stride+c] = v
 						}
@@ -241,7 +279,7 @@ func TestColumnsMatchTransposedRadix2(t *testing.T) {
 					got := append([]complex128(nil), x...)
 					getPlan(h).columns(got, stride, c0, nc, inverse)
 					if i := bitsDiff(got, want); i >= 0 {
-						t.Fatalf("h=%d %s inverse=%v window %v: element (%d,%d) = %v, radix-2 gives %v",
+						t.Fatalf("h=%d %s inverse=%v window %v: element (%d,%d) = %v, radix-4 gives %v",
 							h, name, inverse, win, i%stride, i/stride, got[i], want[i])
 					}
 				}
@@ -250,12 +288,34 @@ func TestColumnsMatchTransposedRadix2(t *testing.T) {
 	}
 }
 
+// oracle2 runs radix4 over every row of g, then down every column, in
+// place: the unnormalised 2-D transform.
+func oracle2(g *Grid2, inverse bool) {
+	w, h := g.W, g.H
+	for y := 0; y < h; y++ {
+		radix4(g.Data[y*w:(y+1)*w], inverse)
+	}
+	col := make([]complex128, h)
+	for c := 0; c < w; c++ {
+		for y := range col {
+			col[y] = g.Data[y*w+c]
+		}
+		radix4(col, inverse)
+		for y, v := range col {
+			g.Data[y*w+c] = v
+		}
+	}
+}
+
+// gridDims are the grid shapes the 2-D bit-identity tests sweep.
+var gridDims = [][2]int{{64, 64}, {32, 16}, {16, 32}, {1, 8}, {8, 1}, {128, 4}}
+
 func TestTransform2MatchesRadix2(t *testing.T) {
-	// Forward2 and Inverse2 equal the radix-2 oracle over rows, then
-	// columns (then the exact reciprocal), bit for bit; the sparse grid
-	// exercises the skip of +0 rows next to a row of −0s.
+	// Forward2 and Inverse2 equal the radix-4 oracle over rows, then
+	// columns (then the exact reciprocal), bit for bit, on dense grids
+	// and on grids of +0 rows beside a row of −0s.
 	r := rand.New(rand.NewSource(19))
-	for _, dims := range [][2]int{{64, 64}, {32, 16}, {16, 32}, {1, 8}, {8, 1}, {128, 4}} {
+	for _, dims := range gridDims {
 		w, h := dims[0], dims[1]
 		for _, sparse := range []bool{false, true} {
 			for _, inverse := range []bool{false, true} {
@@ -267,19 +327,7 @@ func TestTransform2MatchesRadix2(t *testing.T) {
 					zeroRows(g)
 				}
 				want := g.Clone()
-				for y := 0; y < h; y++ {
-					radix2(want.Data[y*w:(y+1)*w], inverse)
-				}
-				col := make([]complex128, h)
-				for c := 0; c < w; c++ {
-					for y := range col {
-						col[y] = want.Data[y*w+c]
-					}
-					radix2(col, inverse)
-					for y, v := range col {
-						want.Data[y*w+c] = v
-					}
-				}
+				oracle2(want, inverse)
 				if inverse {
 					inv := 1 / float64(w*h)
 					for i, v := range want.Data {
@@ -290,18 +338,90 @@ func TestTransform2MatchesRadix2(t *testing.T) {
 					Forward2(g)
 				}
 				if i := bitsDiff(g.Data, want.Data); i >= 0 {
-					t.Fatalf("%dx%d sparse=%v inverse=%v: element %d = %v, radix-2 gives %v", w, h, sparse, inverse, i, g.Data[i], want.Data[i])
+					t.Fatalf("%dx%d sparse=%v inverse=%v: element %d = %v, radix-4 gives %v", w, h, sparse, inverse, i, g.Data[i], want.Data[i])
 				}
 			}
 		}
 	}
 }
 
-// FuzzTransformMatchesRadix2 drives the fused kernel with arbitrary
+// kernelBands are the band half-widths the kernel-grid tests sweep on
+// an axis of n: bands' four, plus n/4 − 1, the sweep's 15 at n = 64.
+func kernelBands(n int) []int { return append(bands(n), max(n/4-1, 0)) }
+
+func TestInverseBandRowsMatchesFull(t *testing.T) {
+	// The band-row inverse equals the full inverse of the grid with its
+	// rows outside |ky| ≤ k cleared, bit for bit on every element, on
+	// every input class; what those rows held does not matter.
+	r := rand.New(rand.NewSource(20))
+	for _, dims := range gridDims {
+		w, h := dims[0], dims[1]
+		for name, x := range oracleInputs(r, w*h) {
+			for _, k := range kernelBands(h) {
+				want := &Grid2{W: w, H: h, Data: append([]complex128(nil), x...)}
+				for y := k + 1; y < h-k; y++ {
+					clear(want.Data[y*w : (y+1)*w])
+				}
+				oracle2(want, true)
+				g := &Grid2{W: w, H: h, Data: append([]complex128(nil), x...)}
+				InverseBandRows(g, k)
+				if i := bitsDiff(g.Data, want.Data); i >= 0 {
+					t.Fatalf("%dx%d %s k=%d: element (%d,%d) = %v, full inverse gives %v", w, h, name, k, i%w, i/w, g.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+func TestForwardBandColsMatchesFull(t *testing.T) {
+	// The box-column forward equals the full forward transform bit for
+	// bit on the columns |kx| ≤ k it keeps, on every input class.
+	r := rand.New(rand.NewSource(21))
+	for _, dims := range gridDims {
+		w, h := dims[0], dims[1]
+		for name, x := range oracleInputs(r, w*h) {
+			want := &Grid2{W: w, H: h, Data: append([]complex128(nil), x...)}
+			oracle2(want, false)
+			for _, k := range kernelBands(w) {
+				g := &Grid2{W: w, H: h, Data: append([]complex128(nil), x...)}
+				ForwardBandCols(g, k)
+				for y := 0; y < h; y++ {
+					for c := 0; c < w; c++ {
+						if c > k && c < w-k {
+							continue
+						}
+						i := y*w + c
+						if bitsDiff(g.Data[i:i+1], want.Data[i:i+1]) >= 0 {
+							t.Fatalf("%dx%d %s k=%d: element (%d,%d) = %v, full forward gives %v", w, h, name, k, c, y, g.Data[i], want.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestBandTransformsPanicOutsideBand(t *testing.T) {
+	// A band half-width outside [0, n/2] is a caller error.
+	for name, fn := range map[string]func(*Grid2, int){"InverseBandRows": InverseBandRows, "ForwardBandCols": ForwardBandCols} {
+		for _, k := range []int{-1, 9} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(16x16, %d) did not panic", name, k)
+					}
+				}()
+				fn(NewGrid2(16, 16), k)
+			}()
+		}
+	}
+}
+
+// FuzzTransformMatchesRadix2 drives the radix-4 kernel with arbitrary
 // float64 bits: log₂ n is logn mod 13 (lengths 1…4096), and raw fills
 // the real and imaginary parts eight little-endian bytes at a time,
 // cycling when short (all zeros when empty). The output must meet the
-// radix-2 oracle by bitsDiff's rule.
+// textbook radix-4 oracle by bitsDiff's rule.
 func FuzzTransformMatchesRadix2(f *testing.F) {
 	f.Fuzz(func(t *testing.T, logn uint8, inverse bool, raw []byte) {
 		n := 1 << (logn % 13)
@@ -320,10 +440,10 @@ func FuzzTransformMatchesRadix2(f *testing.F) {
 			x[i] = complex(word(2*i), word(2*i+1))
 		}
 		want := append([]complex128(nil), x...)
-		radix2(want, inverse)
+		radix4(want, inverse)
 		transform(x, inverse)
 		if i := bitsDiff(x, want); i >= 0 {
-			t.Fatalf("n=%d inverse=%v: element %d = %v, radix-2 gives %v", n, inverse, i, x[i], want[i])
+			t.Fatalf("n=%d inverse=%v: element %d = %v, radix-4 gives %v", n, inverse, i, x[i], want[i])
 		}
 	})
 }
@@ -619,7 +739,7 @@ func TestInverse2ReciprocalMatchesDivision(t *testing.T) {
 			g.Data[i] = complex(r.NormFloat64()*c.scale, r.NormFloat64()*c.scale)
 		}
 		want := g.Clone()
-		transform2(want, true)
+		InverseBandRows(want, c.h/2)
 		n := complex(float64(dims[0]*dims[1]), 0)
 		for i := range want.Data {
 			want.Data[i] /= n
@@ -683,10 +803,10 @@ func BenchmarkForward2_256(b *testing.B) {
 }
 
 // BenchmarkInverse2_64 times the transform the SOCS kernel sweep runs
-// 230 times per clip: a 64² spectrum nonzero only on a 31² box wrapped
-// around bin 0, so rows 16–48 are +0, as litho's spectrumInto leaves
-// it. Inverse2 runs in place, so each iteration copies the spectrum in
-// first.
+// 230 times per clip: the band-row inverse of a 64² spectrum nonzero
+// only on a 31² box wrapped around bin 0, as litho's spectrumInto
+// leaves it, at the box's half-width 15. The transform runs in place, so
+// each iteration copies the spectrum in first.
 func BenchmarkInverse2_64(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	spec := NewGrid2(64, 64)
@@ -699,7 +819,7 @@ func BenchmarkInverse2_64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(g.Data, spec.Data)
-		Inverse2(g)
+		InverseBandRows(g, 15)
 	}
 }
 

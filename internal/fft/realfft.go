@@ -13,16 +13,16 @@ import (
 // packing two real rows into one complex transform (z = a + i·b, then
 // an O(W) unpack splits the two Hermitian row spectra), and the column
 // pass only touches the W/2+1 stored columns. Compared to loading the
-// real field into a complex grid and running Forward2, the FFT work
-// halves. The row passes spread their packed rows over the worker pool;
-// the column pass runs in place on the half-spectrum, its windows of
-// colChunk columns spread over the same pool. Both transforms also take
-// a band half-width k: the forward computes only the stored columns 0…k
-// and the inverse reads only those, so a consumer whose spectrum is
-// band-limited (the SOCS kernel sweep reads the mask spectrum over
-// |kx| ≤ k) skips the other column transforms. Every kept column goes
-// through the same arithmetic as at the full band k = W/2, so it is
-// bit-identical to it. Two row prunings keep that guarantee. The
+// real field into a complex grid and running a full 2-D transform, the
+// FFT work halves. The row passes spread their packed rows over the
+// worker pool; the column pass runs in place on the half-spectrum, its
+// windows of colChunk columns spread over the same pool. Both transforms
+// also take a band half-width k: the forward computes only the stored
+// columns 0…k and the inverse reads only those, so a consumer whose
+// spectrum is band-limited (the SOCS kernel sweep reads the mask
+// spectrum over |kx| ≤ k) skips the other column transforms. Every kept
+// column goes through the same arithmetic as at the full band k = W/2,
+// so it is bit-identical to it. Two row prunings keep that guarantee. The
 // forward skips the transform of a packed row pair whose two rows are
 // all +0, since the transform of +0s is +0s; a mask raster is mostly
 // such rows. The inverse takes an optional row set and runs its row
@@ -84,7 +84,8 @@ func (hs *Half2) Release() {
 // src (row-major, w = hs.FullW, h = hs.H) into the stored columns 0…k of
 // the half-spectrum hs, 0 ≤ k ≤ w/2; columns above k are left with
 // unspecified contents. Dimensions must be powers of two. hs row ky
-// column kx holds F[ky][kx] of Forward2 of the complex-loaded field, for
+// column kx holds F[ky][kx] of the full forward 2-D DFT of the
+// complex-loaded field (ForwardBandCols at band w/2), for
 // kx ≤ k; at k = w/2 that is every stored column, and the remaining
 // columns follow from Hermitian symmetry (ExpandHalfInto reconstructs
 // them). A column kx ≤ k holds the same bits at every band that keeps it.
@@ -175,7 +176,7 @@ func columnPass(hs *Half2, k int, inverse bool) {
 // into the real field dst (len w·h), including the 1/(w·h)
 // normalisation. It reads only the stored columns 0…k, 0 ≤ k ≤ w/2, and
 // treats the columns above k as zero; at k = w/2 that is the whole
-// half-spectrum. Like Inverse2, the transform is destructive: hs is
+// half-spectrum. Like InverseBandRows, the transform is destructive: hs is
 // consumed as in-place scratch and holds unspecified contents
 // afterwards. hs must be the (possibly processed, still Hermitian in
 // its implied full form) spectrum of a real field — the reconstruction

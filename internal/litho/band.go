@@ -153,18 +153,25 @@ func (bd band) freqBoxInto(box *fft.Grid2, maskFreq *fft.Grid2) {
 	}
 }
 
-// spectrumInto writes maskFreq·H_k over kernel k's box into the m×m grid
-// g (fully overwritten), shifted so that bin d_k lands on bin 0. box is
-// the mask spectrum over the union box.
+// half returns the half-width of a kernel box on the m×m grid: the box
+// covers offsets |f| ≤ half on each axis. That is a, or m/2 when the box
+// is the whole axis (then m = n and lo = −n/2).
+func (bd band) half() int { return -bd.lo }
+
+// spectrumInto writes maskFreq·H_k over kernel k's box into the rows
+// |ky| ≤ half of the m×m grid g, shifted so that bin d_k lands on bin 0,
+// and +0 into the rest of those rows. box is the mask spectrum over the
+// union box. The rows outside the box are left as they are:
+// fft.InverseBandRows takes them as zero.
 //
 //cardopc:noalloc
 func (bd band) spectrumInto(g *fft.Grid2, box []complex128, k *kernel) {
-	clear(g.Data)
 	n, m, b, u := bd.n, bd.m, bd.b, bd.u
 	for i := 0; i < b; i++ {
 		off := bd.lo + i
 		src := box[((k.dy+off-bd.ulo)&(n-1))*u:][:u]
 		dst := g.Data[(off&(m-1))*m:][:m]
+		clear(dst)
 		for j, h := range k.box[i*b : (i+1)*b] {
 			off := bd.lo + j
 			dst[off&(m-1)] = src[(k.dx+off-bd.ulo)&(n-1)] * h

@@ -12,8 +12,9 @@ import (
 
 // ForwardCache keeps the per-kernel coherent fields of one forward
 // simulation — each A_k = M ⊗ h_k with its band shifted to bin 0, sampled
-// on the m×m grid in that grid's transform scale — so the adjoint
-// gradient can be evaluated without re-convolving. A cache is bound to one simulator, is not safe for
+// on the m×m grid in that grid's transform scale and left unnormalised,
+// m² times that — so the adjoint gradient can be evaluated without
+// re-convolving. A cache is bound to one simulator, is not safe for
 // concurrent use, and may be reused across iterations (each
 // AerialWithCacheInto overwrites it in place); Release returns its grids
 // to the fft pool when the optimisation loop is done.
@@ -89,9 +90,11 @@ func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, 
 // low-passed onto the m×m grid once (g_m; G itself when m = n), each
 // kernel runs one forward m×m transform of g_m ⊙ a_k, and the products
 // accumulate in a spectrum over the union of the boxes that one real
-// inverse transform brings to the raster. Worker scratch comes from the
-// fft pools and the reduction runs in worker order, so results are
-// bit-identical across runs.
+// inverse transform brings to the raster. That transform computes only
+// the columns of kernel k's box, the ones correlateInto reads, and the
+// cached m²a_k have their 1/m² folded into the weight, which is exact.
+// Worker scratch comes from the fft pools and the reduction runs in
+// worker order, so results are bit-identical across runs.
 //
 //cardopc:noalloc
 func (s *Simulator) GradientFromCacheInto(grad []float64, cache *ForwardCache, G []float64) []float64 {
@@ -113,6 +116,8 @@ func (s *Simulator) GradientFromCacheInto(grad []float64, cache *ForwardCache, G
 		gm = lp.Acc
 	}
 
+	// The cached amplitudes are m² times a_k.
+	scale := 1 / float64(m*m)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(s.kernels) {
 		workers = len(s.kernels)
@@ -132,8 +137,8 @@ func (s *Simulator) GradientFromCacheInto(grad []float64, cache *ForwardCache, G
 				for i := range buf.Data {
 					buf.Data[i] = complex(gm[i], 0) * amp.Data[i]
 				}
-				fft.Forward2(buf)
-				bd.correlateInto(acc.Data, buf, s.kernels[ki], 2*s.weights[ki]*s.cfg.Dose)
+				fft.ForwardBandCols(buf, bd.half())
+				bd.correlateInto(acc.Data, buf, s.kernels[ki], 2*s.weights[ki]*s.cfg.Dose*scale)
 				ksp.End()
 			}
 			fft.PutGrid(buf)

@@ -3,6 +3,7 @@ package litho
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"cardopc/internal/fft"
@@ -36,6 +37,16 @@ func pupilKernel(g *fft.Grid2, df, fc, sx, sy, wavelengthNM, defocusNM float64) 
 	}
 }
 
+// inverse2 is the normalised inverse 2-D DFT of g in place: the
+// band-row inverse at the full band, then 1/(W·H).
+func inverse2(g *fft.Grid2) {
+	fft.InverseBandRows(g, g.H/2)
+	inv := 1 / float64(g.W*g.H)
+	for i, v := range g.Data {
+		g.Data[i] = complex(real(v)*inv, imag(v)*inv)
+	}
+}
+
 // denseKernel fills g with s's kernel ki over the full raster.
 func denseKernel(g *fft.Grid2, s *Simulator, ki int) {
 	pp := s.cfg.pupil()
@@ -60,18 +71,18 @@ func denseImaging(s *Simulator, mf *fft.Grid2, G []float64) (aerial, grad []floa
 		for i := range amp.Data {
 			amp.Data[i] = mf.Data[i] * h.Data[i]
 		}
-		fft.Inverse2(amp)
+		inverse2(amp)
 		wk := s.weights[ki]
 		for i, v := range amp.Data {
 			aerial[i] += wk * s.cfg.Dose * (real(v)*real(v) + imag(v)*imag(v))
 			amp.Data[i] = complex(G[i], 0) * v
 		}
-		fft.Forward2(amp)
+		fft.ForwardBandCols(amp, n/2)
 		for i, kv := range h.Data {
 			spec.Data[i] += complex(2*wk*s.cfg.Dose, 0) * amp.Data[i] * cmplx.Conj(kv)
 		}
 	}
-	fft.Inverse2(spec)
+	inverse2(spec)
 	grad = make([]float64, n*n)
 	for i, v := range spec.Data {
 		grad[i] = real(v)
@@ -237,6 +248,108 @@ func TestBandLimitedMatchesDense(t *testing.T) {
 					t.Logf("%s (m=%d): relative error %.3g", r.what, s.band.m, e)
 				}
 			})
+		}
+	}
+}
+
+// scaledSweep runs the forward sweep and the adjoint as they read with
+// normalised kernel transforms: a full inverse scaled by 1/m² gives each
+// a_k, w_k multiplies |a_k|², the adjoint transforms every column of
+// g_m ⊙ a_k and weighs it by 2·w_k·Dose. Kernels go to workers and the
+// partial sums reduce in worker order as in sweep and
+// GradientFromCacheInto, so the two must agree bit for bit.
+func scaledSweep(s *Simulator, mask *raster.Field, G []float64) (aerial, grad []float64) {
+	bd := s.band
+	n, m, u, nk := bd.n, bd.m, bd.u, len(s.kernels)
+	box := fft.NewGrid2(u, u)
+	bd.maskBoxInto(box, mask)
+	workers := min(runtime.GOMAXPROCS(0), nk)
+	amps := make([]*fft.Grid2, nk)
+	sums := make([][]float64, workers)
+	for w := range sums {
+		sums[w] = make([]float64, m*m)
+		for ki := w; ki < nk; ki += workers {
+			a := fft.NewGrid2(m, m)
+			bd.spectrumInto(a, box.Data, s.kernels[ki])
+			inverse2(a)
+			amps[ki] = a
+			wk := s.weights[ki]
+			for i, v := range a.Data {
+				sums[w][i] += wk * (real(v)*real(v) + imag(v)*imag(v))
+			}
+		}
+	}
+	for _, p := range sums[1:] {
+		for i, v := range p {
+			sums[0][i] += v
+		}
+	}
+	aerial = make([]float64, n*n)
+	if m == n {
+		copy(aerial, sums[0])
+	} else {
+		bd.resampleInto(aerial, n, sums[0], m, m/2-1, nil)
+	}
+	scaleDose(aerial, s.cfg.Dose)
+
+	gm := G
+	if m < n {
+		gm = make([]float64, m*m)
+		bd.resampleInto(gm, m, G, n, 2*bd.a, nil)
+	}
+	accs := make([][]complex128, workers)
+	for w := range accs {
+		accs[w] = make([]complex128, u*u)
+		for ki := w; ki < nk; ki += workers {
+			buf := fft.NewGrid2(m, m)
+			for i, v := range amps[ki].Data {
+				buf.Data[i] = complex(gm[i], 0) * v
+			}
+			fft.ForwardBandCols(buf, m/2)
+			bd.correlateInto(accs[w], buf, s.kernels[ki], 2*s.weights[ki]*s.cfg.Dose)
+		}
+	}
+	for _, acc := range accs[1:] {
+		for i, v := range acc {
+			accs[0][i] += v
+		}
+	}
+	grad = make([]float64, n*n)
+	bd.realInverseInto(grad, accs[0])
+	return aerial, grad
+}
+
+func TestFoldedWeightsMatchScaledSweep(t *testing.T) {
+	// The sweep and the adjoint leave 1/m² out of their kernel
+	// transforms and fold it into the kernel weights; the adjoint also
+	// transforms only the box's columns. Both are exact, so the image
+	// and the gradient equal those of normalised transforms bit for bit.
+	for _, c := range []struct {
+		n     int
+		pitch float64
+	}{{512, 4}, {64, 32}, {32, 32}, {16, 128}} {
+		cfg := DefaultConfig()
+		cfg.GridSize, cfg.PitchNM, cfg.Dose = c.n, c.pitch, 0.98
+		s := NewSimulator(cfg)
+		mask := oracleMask(s.Grid())
+		cache := s.NewForwardCache()
+		aerial := s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
+		G := make([]float64, len(aerial.Data))
+		for i, v := range aerial.Data {
+			G[i] = 2*(v-0.3) + 0.3*math.Sin(0.37*float64(i))
+		}
+		grad := s.GradientFromCacheInto(make([]float64, len(G)), cache, G)
+		cache.Release()
+		wantAerial, wantGrad := scaledSweep(s, mask, G)
+		for _, r := range []struct {
+			what      string
+			got, want []float64
+		}{{"aerial", aerial.Data, wantAerial}, {"gradient", grad, wantGrad}} {
+			for i, v := range r.want {
+				if math.Float64bits(r.got[i]) != math.Float64bits(v) {
+					t.Fatalf("%d@%v %s: pixel %d = %v, normalised transforms give %v", c.n, c.pitch, r.what, i, r.got[i], v)
+				}
+			}
 		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 
 // scanFill is the all-edges scanline fill FillPolygon replaced, kept as
 // its oracle: every sub-scanline of every row in the polygon's bounds
-// tests every edge, in vertex order.
+// tests every edge, in vertex order. It clamps the row range and drops
+// NaN crossings as the fill does.
 func (f *Field) scanFill(poly geom.Polygon, ss int) {
 	if len(poly) < 3 {
 		return
@@ -22,13 +23,9 @@ func (f *Field) scanFill(poly geom.Polygon, ss int) {
 		ss = 1
 	}
 	b := poly.Bounds()
-	y0 := int(math.Floor(b.Min.Y/f.Pitch - 1))
-	y1 := int(math.Ceil(b.Max.Y/f.Pitch + 1))
-	if y0 < 0 {
-		y0 = 0
-	}
-	if y1 > f.Size {
-		y1 = f.Size
+	y0, y1, ok := rowRange(b.Min.Y, b.Max.Y, f.Pitch, f.Size)
+	if !ok {
+		return
 	}
 	n := len(poly)
 	var xs []float64
@@ -43,6 +40,9 @@ func (f *Field) scanFill(poly geom.Polygon, ss int) {
 					continue
 				}
 				x := a.X + (wy-a.Y)/(c.Y-a.Y)*(c.X-a.X)
+				if math.IsNaN(x) {
+					continue
+				}
 				xs = append(xs, x)
 			}
 			if len(xs) < 2 {
@@ -144,6 +144,47 @@ func TestFillMatchesScan(t *testing.T) {
 				want.Clamp01()
 				p.Clamp01()
 				sameBits(t, what+" Painter.Clamp01", reused, want)
+			}
+		}
+	}
+}
+
+// TestFillOverflows: coordinates whose pixel rows lie beyond the int
+// range, or whose edge crossings overflow to a NaN, still fill the
+// raster and match the oracle bit for bit, on 16 px @ 4 nm at ss 1.
+func TestFillOverflows(t *testing.T) {
+	g := Grid{Size: 16, Pitch: 4}
+	rect := func(x0, y0, x1, y1 float64) geom.Polygon {
+		return geom.Rect{Min: geom.P(x0, y0), Max: geom.P(x1, y1)}.Poly()
+	}
+	for _, c := range []struct {
+		name string
+		poly geom.Polygon
+		// same, when non-nil, fills the same pixels inside the raster.
+		same geom.Polygon
+	}{
+		// The edge from (−1e308, 2) to (1e308, 40) spans +Inf in x and
+		// starts on row 0's sub-scanline centre, where its crossing is
+		// 0·Inf = NaN.
+		{"x overflow", geom.Polygon{geom.P(-1e308, 2), geom.P(1e308, 40), geom.P(20, 40), geom.P(20, 2)}, nil},
+		// Its top row, 2.5e19, is beyond the int range.
+		{"y beyond int", rect(8, 8, 40, 1e20), rect(8, 8, 40, 100)},
+	} {
+		want, got := NewField(g), NewField(g)
+		want.scanFill(c.poly, 1)
+		got.FillPolygon(c.poly, 1)
+		sameBits(t, c.name+" FillPolygon", got, want)
+		for i, v := range got.Data {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("%s: pixel %d coverage %v outside [0, 1]", c.name, i, v)
+			}
+		}
+		if c.same != nil {
+			clipped := NewField(g)
+			clipped.FillPolygon(c.same, 1)
+			sameBits(t, c.name+" against the clipped polygon", got, clipped)
+			if clipped.Sum() == 0 {
+				t.Fatalf("%s: the clipped polygon fills nothing", c.name)
 			}
 		}
 	}

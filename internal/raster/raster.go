@@ -166,15 +166,8 @@ func (f *Field) fill(s scan, poly geom.Polygon, ss int, rows []span) scan {
 	for _, p := range poly {
 		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
 	}
-	y0 := int(math.Floor(minY/f.Pitch - 1))
-	y1 := int(math.Ceil(maxY/f.Pitch + 1))
-	if y0 < 0 {
-		y0 = 0
-	}
-	if y1 > f.Size {
-		y1 = f.Size
-	}
-	if y0 >= y1 {
+	y0, y1, ok := rowRange(minY, maxY, f.Pitch, f.Size)
+	if !ok {
 		return s
 	}
 	lo, hi := float64(y0), float64(y1-1)
@@ -227,6 +220,9 @@ func (f *Field) fill(s scan, poly geom.Polygon, ss int, rows []span) scan {
 					continue
 				}
 				x := a.X + (wy-a.Y)/(c.Y-a.Y)*(c.X-a.X)
+				if math.IsNaN(x) {
+					continue // 0·Inf or Inf − Inf: an edge whose x extent overflowed
+				}
 				xs = append(xs, x)
 			}
 			s.xs = xs
@@ -243,6 +239,20 @@ func (f *Field) fill(s scan, poly geom.Polygon, ss int, rows []span) scan {
 		}
 	}
 	return s
+}
+
+// rowRange returns the pixel rows [y0, y1) a fill of a polygon spanning
+// world y minY…maxY visits: one row of margin either side, clamped to
+// the raster in float64 before the conversion to int, so an extent
+// beyond the int range cannot wrap. ok is false when no row is visited,
+// or when the extent is NaN.
+func rowRange(minY, maxY, pitch float64, size int) (y0, y1 int, ok bool) {
+	lo := max(math.Floor(minY/pitch-1), 0)
+	hi := min(math.Ceil(maxY/pitch+1), float64(size))
+	if !(lo < hi) {
+		return 0, 0, false
+	}
+	return int(lo), int(hi), true
 }
 
 // addSpan adds weight×coverage to row py for the world-x interval [x0, x1]
